@@ -56,9 +56,10 @@
 //  * WFDB cohort replay: a writer-generated fixture ward replayed through
 //    rt::CohortReplayer (chunked admission -> sharded engine ->
 //    end-of-record flush), reported as the achieved x-real-time multiple at
-//    1 and 2 workers. Each pass re-decodes the records from disk, but the
-//    replayer's clock starts after decode, so the multiple covers admission
-//    -> delivery of the streaming pipeline only. The fixture directory is
+//    1 and 2 workers. Each pass re-reads and re-checks the records from
+//    disk, but the replayer's clock starts after that check (its load_s),
+//    so the multiple covers per-chunk decode + admission -> delivery of the
+//    streaming pipeline only. The fixture directory is
 //    left in the CWD (bench_replay_fixture/) and uploaded with the CI bench
 //    artifact so a regression can be replayed offline from the run page.
 //
@@ -1184,7 +1185,7 @@ int main() {
               fixture_records.size(), fixture.duration_s, fixture.fs_hz);
   // One replay of this fixture lasts only a few ms, so (like measure())
   // passes are repeated until ~0.4 s of wall time accumulates and the
-  // x-real-time multiple is taken over the aggregate — each pass decodes
+  // x-real-time multiple is taken over the aggregate — each pass reads
   // from disk and streams from phase 0 (end_stream drops the patients).
   struct ReplayRate {
     double x_realtime = 0.0;

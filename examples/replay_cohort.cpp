@@ -125,6 +125,8 @@ int main(int argc, char** argv) {
   std::printf("\nreplay: %zu workers, %s, %.1f s of signal in %.2f s wall (%.1fx real time)\n",
               workers, speed > 0.0 ? "paced" : "as fast as possible", report.total_duration_s,
               report.wall_s, report.x_realtime);
+  std::printf("  load: %.3f s checking %zu records before the first push\n", report.load_s,
+              report.records.size());
   std::map<int, std::size_t> ictal;
   for (const auto& r : results)
     if (r.label > 0) ++ictal[r.patient_id];

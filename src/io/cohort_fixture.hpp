@@ -6,9 +6,10 @@
 // RECORDS index — the same shape as a PhysioNet database download, so the
 // replay driver and the golden-file CI gate exercise the exact ingest path a
 // real archive would take. The fixtures deliberately cover the reader's edge
-// cases: both storage formats (212 and 16), both 212 tail parities (even and
-// odd sample counts), single- and multi-channel records where the ECG is not
-// channel 0, and a non-zero baseline.
+// cases: formats 212 and 16 (format 80 is covered by tests/test_wfdb.cpp),
+// both 212 tail parities (even and odd sample counts), single- and
+// multi-channel records where the ECG is not channel 0, and a non-zero
+// baseline.
 //
 // Everything is deterministic in the seed: the same params always produce
 // byte-identical records, which is what lets CI regenerate the cohort and

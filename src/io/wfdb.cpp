@@ -11,6 +11,8 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 
 namespace svt::io {
@@ -141,55 +143,6 @@ SignalSpec parse_signal_line(const std::string& line) {
   return spec;
 }
 
-std::vector<unsigned char> read_binary_file(const std::filesystem::path& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) fail("cannot open signal file " + path.string());
-  std::vector<unsigned char> bytes((std::istreambuf_iterator<char>(is)),
-                                   std::istreambuf_iterator<char>());
-  return bytes;
-}
-
-int sign_extend_12(unsigned v) {
-  return static_cast<int>(v >= 2048u ? static_cast<long>(v) - 4096 : static_cast<long>(v));
-}
-
-/// Decode `total` samples in storage order (frames interleave the file's
-/// signals) from a format-212 byte stream. A trailing odd sample occupies a
-/// 2-byte half-group: low byte + the low nibble of the second byte.
-std::vector<int> decode_212(const std::vector<unsigned char>& bytes, std::size_t total,
-                            const std::string& file) {
-  const std::size_t expected = (total / 2) * 3 + (total % 2) * 2;
-  if (bytes.size() != expected)
-    fail("signal file " + file + ": " + std::to_string(bytes.size()) + " bytes, expected " +
-         std::to_string(expected) + " for " + std::to_string(total) + " format-212 samples");
-  std::vector<int> samples(total);
-  std::size_t b = 0;
-  for (std::size_t s = 0; s + 1 < total; s += 2, b += 3) {
-    samples[s] = sign_extend_12(static_cast<unsigned>(bytes[b]) |
-                                ((static_cast<unsigned>(bytes[b + 1]) & 0x0Fu) << 8));
-    samples[s + 1] = sign_extend_12(static_cast<unsigned>(bytes[b + 2]) |
-                                    ((static_cast<unsigned>(bytes[b + 1]) >> 4) << 8));
-  }
-  if (total % 2 != 0)
-    samples[total - 1] = sign_extend_12(static_cast<unsigned>(bytes[b]) |
-                                        ((static_cast<unsigned>(bytes[b + 1]) & 0x0Fu) << 8));
-  return samples;
-}
-
-std::vector<int> decode_16(const std::vector<unsigned char>& bytes, std::size_t total,
-                           const std::string& file) {
-  if (bytes.size() != total * 2)
-    fail("signal file " + file + ": " + std::to_string(bytes.size()) + " bytes, expected " +
-         std::to_string(total * 2) + " for " + std::to_string(total) + " format-16 samples");
-  std::vector<int> samples(total);
-  for (std::size_t s = 0; s < total; ++s) {
-    const unsigned v = static_cast<unsigned>(bytes[2 * s]) |
-                       (static_cast<unsigned>(bytes[2 * s + 1]) << 8);
-    samples[s] = static_cast<int>(static_cast<std::int16_t>(v));
-  }
-  return samples;
-}
-
 void encode_212(const std::vector<int>& samples, std::vector<unsigned char>& bytes) {
   std::size_t s = 0;
   for (; s + 1 < samples.size(); s += 2) {
@@ -215,16 +168,6 @@ void encode_16(const std::vector<int>& samples, std::vector<unsigned char>& byte
 }
 
 /// Format 80: one byte per sample, offset binary (stored byte = adc + 128).
-std::vector<int> decode_80(const std::vector<unsigned char>& bytes, std::size_t total,
-                           const std::string& file) {
-  if (bytes.size() != total)
-    fail("signal file " + file + ": " + std::to_string(bytes.size()) + " bytes, expected " +
-         std::to_string(total) + " for " + std::to_string(total) + " format-80 samples");
-  std::vector<int> samples(total);
-  for (std::size_t s = 0; s < total; ++s) samples[s] = static_cast<int>(bytes[s]) - 128;
-  return samples;
-}
-
 void encode_80(const std::vector<int>& samples, std::vector<unsigned char>& bytes) {
   for (const int v : samples) bytes.push_back(static_cast<unsigned char>(v + 128));
 }
@@ -259,6 +202,63 @@ std::vector<FileGroup> group_by_file(const RecordHeader& header) {
     group->channels.push_back(c);
   }
   return groups;
+}
+
+/// Stored sample `i` (storage order, frames interleaving the file's
+/// signals) of a format's byte stream.
+template <int Format>
+int stored_sample(const unsigned char* bytes, std::size_t i);
+
+/// Format 212: sample pairs share 3 bytes; an even sample takes the low
+/// byte plus the low nibble of the middle byte, an odd one the high byte
+/// plus its high nibble. A record's odd last sample sits in a 2-byte
+/// half-group and, being even, never touches a third byte.
+template <>
+int stored_sample<212>(const unsigned char* bytes, std::size_t i) {
+  const unsigned char* group = bytes + (i / 2) * 3;
+  const unsigned v = i % 2 == 0 ? group[0] | ((group[1] & 0x0Fu) << 8)
+                                : group[2] | ((group[1] >> 4) << 8);
+  return (static_cast<int>(v) ^ 0x800) - 0x800;  // Sign-extend 12 bits.
+}
+
+template <>
+int stored_sample<16>(const unsigned char* bytes, std::size_t i) {
+  return static_cast<std::int16_t>(bytes[2 * i] | (bytes[2 * i + 1] << 8));
+}
+
+template <>
+int stored_sample<80>(const unsigned char* bytes, std::size_t i) {
+  return static_cast<int>(bytes[i]) - 128;
+}
+
+/// The one decode loop per format: hand `emit(j, adc)` the `n` samples of
+/// frame slot `index` starting at frame `offset`. The format is resolved
+/// once per call, never per sample.
+template <class Emit>
+void decode(int format, const unsigned char* bytes, std::size_t width, std::size_t index,
+            std::size_t offset, std::size_t n, Emit&& emit) {
+  const auto run = [&](auto tag) {
+    std::size_t i = offset * width + index;
+    for (std::size_t j = 0; j < n; ++j, i += width)
+      emit(j, stored_sample<decltype(tag)::value>(bytes, i));
+  };
+  if (format == 212)
+    run(std::integral_constant<int, 212>{});
+  else if (format == 80)
+    run(std::integral_constant<int, 80>{});
+  else
+    run(std::integral_constant<int, 16>{});
+}
+
+std::size_t stored_bytes(int format, std::size_t total) {
+  return format == 212 ? (total / 2) * 3 + (total % 2) * 2 : format == 80 ? total : total * 2;
+}
+
+/// The conversion signal_mv and read_mv share. The subtraction is done in
+/// double: exact for any int pair, so it equals the int difference wherever
+/// that does not overflow, and a hostile baseline cannot overflow it.
+double adc_to_mv(int adc, const SignalSpec& spec) {
+  return (static_cast<double>(adc) - spec.baseline) / spec.adc_gain;
 }
 
 }  // namespace
@@ -323,34 +323,88 @@ std::vector<double> WfdbRecord::signal_mv(std::size_t channel) const {
          std::to_string(adc.size()) + ")");
   const auto& spec = header.signals[channel];
   std::vector<double> mv(adc[channel].size());
-  for (std::size_t s = 0; s < mv.size(); ++s)
-    mv[s] = static_cast<double>(adc[channel][s] - spec.baseline) / spec.adc_gain;
+  for (std::size_t s = 0; s < mv.size(); ++s) mv[s] = adc_to_mv(adc[channel][s], spec);
   return mv;
 }
 
-WfdbRecord read_record(const std::string& dir, const std::string& record_name) {
-  WfdbRecord record;
-  record.header = read_header(dir, record_name);
-  const auto& header = record.header;
-  if (header.num_samples == 0)
-    fail("record " + record_name + " declares no sample count (required for decoding)");
-  record.adc.assign(header.num_signals(), std::vector<int>(header.num_samples));
-  for (const auto& group : group_by_file(header)) {
+RecordReader::RecordReader(const std::string& dir, const std::string& record_name)
+    : header_(read_header(dir, record_name)) {
+  const std::string record = "record " + record_name + ": ";
+  if (header_.num_samples == 0) fail(record + "declares no sample count (required for decoding)");
+  slots_.resize(header_.num_signals());
+  for (const auto& group : group_by_file(header_)) {
+    const std::size_t width = group.channels.size();
+    // Bound the count before any size arithmetic: a hostile header must not
+    // wrap the expected byte count into agreement with the file.
+    if (header_.num_samples > std::numeric_limits<std::size_t>::max() / (2 * width))
+      fail(record + "sample count " + std::to_string(header_.num_samples) + " is too large");
+    const std::size_t total = header_.num_samples * width;
+    const std::size_t expected = stored_bytes(group.format, total);
     const auto path = std::filesystem::path(dir) / group.file_name;
-    const auto bytes = read_binary_file(path);
-    const std::size_t total = header.num_samples * group.channels.size();
-    const auto flat = group.format == 212  ? decode_212(bytes, total, group.file_name)
-                      : group.format == 80 ? decode_80(bytes, total, group.file_name)
-                                           : decode_16(bytes, total, group.file_name);
-    for (std::size_t t = 0; t < header.num_samples; ++t)
-      for (std::size_t k = 0; k < group.channels.size(); ++k)
-        record.adc[group.channels[k]][t] = flat[t * group.channels.size() + k];
+    std::error_code ec;
+    const bool regular = std::filesystem::is_regular_file(path, ec);
+    const auto size = regular ? std::filesystem::file_size(path, ec) : 0;
+    if (!regular || ec) fail(record + "cannot open signal file " + path.string());
+    if (size != expected)
+      fail(record + "signal file " + group.file_name + ": " + std::to_string(size) +
+           " bytes, expected " + std::to_string(expected) + " for " + std::to_string(total) +
+           " format-" + std::to_string(group.format) + " samples");
+    SignalFile file{group.format, width, std::vector<unsigned char>(expected)};
+    std::ifstream is(path, std::ios::binary);
+    if (!is.read(reinterpret_cast<char*>(file.bytes.data()),
+                 static_cast<std::streamsize>(expected)))
+      fail(record + "cannot read signal file " + path.string());
+    for (std::size_t k = 0; k < width; ++k) slots_[group.channels[k]] = {files_.size(), k};
+    files_.push_back(std::move(file));
   }
-  for (std::size_t c = 0; c < header.num_signals(); ++c) {
-    const auto& spec = header.signals[c];
-    if (spec.has_checksum && sample_checksum(record.adc[c]) != spec.checksum)
-      fail("record " + record_name + " signal " + std::to_string(c) +
-           ": checksum mismatch (corrupt signal file?)");
+  for (std::size_t c = 0; c < header_.num_signals(); ++c) {
+    const auto& spec = header_.signals[c];
+    if (!spec.has_checksum) continue;
+    const auto& file = files_[slots_[c].file];
+    std::uint32_t sum = 0;
+    decode(file.format, file.bytes.data(), file.width, slots_[c].index, 0, header_.num_samples,
+           [&sum](std::size_t, int v) { sum += static_cast<std::uint32_t>(v); });
+    if (static_cast<std::int16_t>(static_cast<std::uint16_t>(sum)) != spec.checksum)
+      fail(record + "signal " + std::to_string(c) + ": checksum mismatch (corrupt signal file?)");
+  }
+}
+
+const RecordReader::Slot& RecordReader::slot_for(std::size_t channel, std::size_t offset,
+                                                 std::size_t n) const {
+  if (channel >= slots_.size())
+    fail("record " + header_.record_name + ": channel " + std::to_string(channel) +
+         " out of range (record has " + std::to_string(slots_.size()) + ")");
+  if (offset > header_.num_samples || n > header_.num_samples - offset)
+    fail("record " + header_.record_name + ": samples [" + std::to_string(offset) + ", " +
+         std::to_string(offset) + " + " + std::to_string(n) + ") past the end (" +
+         std::to_string(header_.num_samples) + " samples)");
+  return slots_[channel];
+}
+
+void RecordReader::read_adc(std::size_t channel, std::size_t offset, std::span<int> out) const {
+  const Slot& slot = slot_for(channel, offset, out.size());
+  const auto& file = files_[slot.file];
+  decode(file.format, file.bytes.data(), file.width, slot.index, offset, out.size(),
+         [out](std::size_t j, int v) { out[j] = v; });
+}
+
+void RecordReader::read_mv(std::size_t channel, std::size_t offset,
+                           std::span<double> out) const {
+  const Slot& slot = slot_for(channel, offset, out.size());
+  const auto& file = files_[slot.file];
+  const auto& spec = header_.signals[channel];
+  decode(file.format, file.bytes.data(), file.width, slot.index, offset, out.size(),
+         [out, &spec](std::size_t j, int v) { out[j] = adc_to_mv(v, spec); });
+}
+
+WfdbRecord read_record(const std::string& dir, const std::string& record_name) {
+  const RecordReader reader(dir, record_name);
+  WfdbRecord record;
+  record.header = reader.header();
+  record.adc.resize(record.header.num_signals());
+  for (std::size_t c = 0; c < record.adc.size(); ++c) {
+    record.adc[c].resize(reader.num_samples());
+    reader.read_adc(c, 0, record.adc[c]);
   }
   return record;
 }

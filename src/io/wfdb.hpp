@@ -11,12 +11,12 @@
 //    gain/baseline/units, ADC resolution/zero, checksum, description),
 //    comment lines, and the WFDB defaults (gain 200 adu/mV, baseline 0)
 //    when fields are omitted;
-//  * signal decoding for format 212 (two 12-bit two's-complement samples
-//    packed into 3 bytes; a record with an odd total sample count ends in a
-//    2-byte half-group), format 16 (little-endian int16), and format 80
-//    (one byte per sample in offset binary: stored byte = adc + 128, so the
-//    representable range is [-128, 127]), with multi-channel frames
-//    de-interleaved per signal;
+//  * signal decoding for all three implemented storage formats: 212 (two
+//    12-bit two's-complement samples packed into 3 bytes; a record with an
+//    odd total sample count ends in a 2-byte half-group), 16 (little-endian
+//    int16), and 80 (one byte per sample in offset binary: stored byte =
+//    adc + 128, so the representable range is [-128, 127]). Multi-channel
+//    files interleave frames sample by sample;
 //  * ADC-units -> physical-units (mV) conversion via each signal's
 //    gain/baseline;
 //  * a matching writer, so the offline dev box can generate fixture records
@@ -24,6 +24,22 @@
 //    (asserted for both 212 parities by tests/test_wfdb.cpp), and
 //    quantize_mv∘signal_mv is the identity on in-range samples, so a
 //    record round-trips through physical units without drift.
+//
+// Reading is check-then-decode:
+//
+//   <record>.hea ──parse──> RecordHeader
+//   <file>.dat ──one sized read──> raw bytes (1 B/sample for 80, 1.5 B for
+//        │                         212, 2 B for 16 — nothing else is kept)
+//        ├─ exact file size vs header, per signal file
+//        ├─ every signal's checksum (one full decode pass)
+//        ▼
+//   RecordReader::read_adc / read_mv(channel, offset, out)
+//        decode any [offset, offset + n) slice of one channel on demand
+//        (one tight loop per format; no whole-record int or double copy)
+//
+// read_record builds on the reader and materialises every channel as ADC
+// ints (4 B/sample, plus 8 B/sample for each signal_mv copy); the cohort
+// replayer instead keeps one reader per record and decodes chunk by chunk.
 //
 // Everything throws std::invalid_argument on malformed input (bad header
 // fields, unsupported formats, signal files whose size disagrees with the
@@ -87,9 +103,52 @@ struct WfdbRecord {
   std::vector<double> signal_mv(std::size_t channel) const;
 };
 
-/// Read `<dir>/<record>.hea` plus every signal file it references,
-/// de-interleaving multi-channel frames and validating file sizes and (when
-/// present) per-signal checksums.
+/// A checked WFDB record held as its raw signal-file bytes, decoded on
+/// demand. Construction reads `<dir>/<record>.hea` and each signal file it
+/// references (one sized read per file), and validates every file's exact
+/// size and (when the header carries them) every signal's checksum, so a
+/// constructed reader only ever decodes an intact record.
+class RecordReader {
+ public:
+  /// Throws std::invalid_argument naming the record on a missing or
+  /// malformed header, a missing sample count, a signal file of the wrong
+  /// size, or a checksum mismatch.
+  RecordReader(const std::string& dir, const std::string& record_name);
+
+  const RecordHeader& header() const { return header_; }
+  std::size_t num_samples() const { return header_.num_samples; }
+
+  /// Decode samples [offset, offset + out.size()) of `channel` in ADC units.
+  /// Throws std::invalid_argument when the channel or the range is out of
+  /// bounds.
+  void read_adc(std::size_t channel, std::size_t offset, std::span<int> out) const;
+
+  /// Same slice in physical units: (adc - baseline) / gain, in mV —
+  /// bit-identical to WfdbRecord::signal_mv.
+  void read_mv(std::size_t channel, std::size_t offset, std::span<double> out) const;
+
+ private:
+  /// One signal file's raw bytes; `width` signals interleave per frame.
+  struct SignalFile {
+    int format = 0;
+    std::size_t width = 0;
+    std::vector<unsigned char> bytes;
+  };
+  /// Where a channel lives: its file and its position within a frame.
+  struct Slot {
+    std::size_t file = 0;
+    std::size_t index = 0;
+  };
+
+  const Slot& slot_for(std::size_t channel, std::size_t offset, std::size_t n) const;
+
+  RecordHeader header_;
+  std::vector<SignalFile> files_;
+  std::vector<Slot> slots_;  ///< Per channel.
+};
+
+/// Read a whole record: a RecordReader's checks, then every channel
+/// decoded to ADC units.
 WfdbRecord read_record(const std::string& dir, const std::string& record_name);
 
 /// Write `<dir>/<header.record_name>.hea` and the signal file(s): samples

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <random>
 #include <set>
 #include <span>
@@ -75,41 +76,51 @@ ReplayReport CohortReplayer::replay_records(const std::string& dir,
   if (options.chunk_s <= 0.0) throw std::invalid_argument("replay: non-positive chunk_s");
   if (options.speed < 0.0) throw std::invalid_argument("replay: negative speed");
 
-  // Decode the whole cohort up front: replay should measure the *pipeline*,
-  // not disk reads, and a corrupt record must fail before any sample flows.
+  // Check every record before any sample flows — file sizes, checksums,
+  // sampling rate, channel, patient id — so a corrupt record fails the
+  // replay up front. Only each record's raw signal bytes stay resident; the
+  // streaming loop decodes one chunk at a time.
   struct LoadedRecord {
     std::string name;
     int patient_id = 0;
-    std::vector<double> samples_mv;
+    std::optional<io::RecordReader> reader;  ///< Empty when skipped.
+    std::size_t channel = 0;
+    std::size_t samples = 0;  ///< 0 when skipped.
     std::string skip_reason;  ///< Non-empty: report, don't stream.
   };
+  const auto t_load = Clock::now();
   const double fs = engine_.config().fs_hz;
   std::vector<LoadedRecord> cohort;
   std::set<int> patient_ids;
+  std::size_t longest = 0;
   for (const auto& name : names) {
-    const auto record = io::read_record(dir, name);
+    io::RecordReader reader(dir, name);
+    const auto& header = reader.header();
     LoadedRecord loaded;
     loaded.name = name;
     loaded.patient_id = patient_id_of(name);
-    if (record.header.fs_hz != fs) {
+    if (header.fs_hz != fs) {
       // One mis-recorded monitor must not abort the ward: skip the record
       // with a per-record reason instead of throwing.
-      loaded.skip_reason = "sampled at " + std::to_string(record.header.fs_hz) +
+      loaded.skip_reason = "sampled at " + std::to_string(header.fs_hz) +
                            " Hz, engine expects " + std::to_string(fs);
       cohort.push_back(std::move(loaded));
       continue;
     }
     const std::size_t channel = options.channel == ReplayOptions::kAutoChannel
-                                    ? io::ecg_channel(record.header)
+                                    ? io::ecg_channel(header)
                                     : options.channel;
-    if (channel >= record.header.num_signals())
+    if (channel >= header.num_signals())
       throw std::invalid_argument("replay: record " + name + " has no channel " +
                                   std::to_string(channel));
     if (!patient_ids.insert(loaded.patient_id).second)
       throw std::invalid_argument("replay: duplicate patient id " +
                                   std::to_string(loaded.patient_id) +
                                   " (concurrent records must be distinct patients)");
-    loaded.samples_mv = record.signal_mv(channel);
+    loaded.channel = channel;
+    loaded.samples = reader.num_samples();
+    longest = std::max(longest, loaded.samples);
+    loaded.reader.emplace(std::move(reader));
     cohort.push_back(std::move(loaded));
   }
 
@@ -124,7 +135,9 @@ ReplayReport CohortReplayer::replay_records(const std::string& dir,
 
   // Round-robin admission: every record streams concurrently, one chunk per
   // record per round (the telemetry-gateway arrival pattern the benches and
-  // examples use).
+  // examples use). Each chunk is decoded into this one buffer just before
+  // its push; push_samples copies it into the shard queue.
+  std::vector<double> buffer(std::min(chunk, longest));
   std::vector<std::size_t> offsets(cohort.size(), 0);
   std::vector<Clock::time_point> admitted_at(cohort.size());
   const auto t0 = Clock::now();
@@ -134,17 +147,18 @@ ReplayReport CohortReplayer::replay_records(const std::string& dir,
     for (std::size_t r = 0; r < cohort.size(); ++r) {
       const auto& record = cohort[r];
       std::size_t& offset = offsets[r];
-      if (offset >= record.samples_mv.size()) continue;
+      if (offset >= record.samples) continue;
+      const std::span<double> samples(buffer.data(), std::min(chunk, record.samples - offset));
+      record.reader->read_mv(record.channel, offset, samples);
       if (options.speed > 0.0) {
         const double stream_t = static_cast<double>(offset) / fs;
         std::this_thread::sleep_until(
             t0 + std::chrono::duration_cast<Clock::duration>(
                      std::chrono::duration<double>(stream_t / options.speed)));
       }
-      const std::size_t n = std::min(chunk, record.samples_mv.size() - offset);
-      engine_.push_samples(record.patient_id, std::span(record.samples_mv).subspan(offset, n));
-      offset += n;
-      if (offset < record.samples_mv.size()) {
+      engine_.push_samples(record.patient_id, samples);
+      offset += samples.size();
+      if (offset < record.samples) {
         any_left = true;
       } else {
         // Record end: flush the detector tail so the trailing windows the
@@ -158,6 +172,7 @@ ReplayReport CohortReplayer::replay_records(const std::string& dir,
   const auto t_end = Clock::now();
 
   ReplayReport report;
+  report.load_s = seconds_since(t_load, t0);
   report.wall_s = seconds_since(t0, t_end);
   report.dropped_chunks = engine_.dropped_chunks() - dropped_before;
   const auto cache_after = engine_.cache_stats();  // Quiescent: fenced above.
@@ -176,7 +191,7 @@ ReplayReport CohortReplayer::replay_records(const std::string& dir,
       report.records.push_back(std::move(stats));
       continue;
     }
-    stats.samples = cohort[r].samples_mv.size();
+    stats.samples = cohort[r].samples;
     stats.duration_s = static_cast<double>(stats.samples) / fs;
     stats.wall_s = seconds_since(t0, admitted_at[r]);
     stats.x_realtime = stats.wall_s > 0.0 ? stats.duration_s / stats.wall_s : 0.0;

@@ -1,18 +1,26 @@
 // Cohort replay: stream a directory of WFDB records into the sharded engine.
 //
 // A recorded ward (a PhysioNet-style directory of records + RECORDS index)
-// becomes a live multi-patient stream:
+// becomes a live multi-patient stream, in two phases:
 //
-//   RECORDS ──> io::read_record ──> ECG channel, ADC -> mV
-//        │  (per record: patient id from the trailing record number)
-//        ▼
-//   round-robin bounded chunks ──> ShardedStreamClassifier::push_samples
+//   check (load_s): per record, in RECORDS order
+//   RECORDS ──> io::RecordReader ──> file sizes + checksums, sampling rate,
+//        │      (raw bytes only:      ECG channel, patient id from the
+//        │       1–2 B per sample)    trailing record number
+//        ▼      any failure throws here, before a single sample flows
+//   stream (wall_s):
+//   round-robin: read_mv(chunk) ──> one reused mV buffer ──> push_samples
 //        │   (chunk_s seconds per push; optional real-time pacing)       │
 //        ▼                                                               ▼
 //   end_stream(patient) at each record's end             ResultSink (caller's)
 //   (flushes the detector tail so trailing windows
 //    classify — no full window of a finite recording
 //    is ever lost), then one terminal flush() fence
+//
+// Memory: the resident cohort is its raw signal bytes (1.5 B per sample for
+// format 212, 2 B for 16, 1 B for 80, for every channel of every record)
+// plus one chunk of doubles, instead of 4 B of ADC ints and 8 B of mV
+// doubles per sample of the whole cohort.
 //
 // Pacing: speed = 0 replays as fast as the pipeline accepts (throughput
 // mode — the bench's replay_x_realtime metric); speed = k paces each
@@ -26,8 +34,9 @@
 //
 // Stats: per record, the replayer reports wall time to admit the record
 // (first chunk push -> end_stream), the achieved real-time multiple, and
-// the windows delivered for its patient; per cohort, the aggregate ×
-// real-time rate and the engine's dropped-chunk count over the replay.
+// the windows delivered for its patient; per cohort, the time spent
+// checking records before the first push, the aggregate × real-time rate
+// and the engine's dropped-chunk count over the replay.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +80,8 @@ struct RecordReplayStats {
 struct ReplayReport {
   std::vector<RecordReplayStats> records;
   double total_duration_s = 0.0;  ///< Sum of recorded lengths.
-  double wall_s = 0.0;
+  double load_s = 0.0;            ///< Checking every record, before the first push.
+  double wall_s = 0.0;            ///< First push -> terminal fence (excludes load_s).
   double x_realtime = 0.0;        ///< total_duration_s / wall_s.
   std::size_t windows = 0;
   std::size_t dropped_chunks = 0;  ///< Dropped during this replay (kDropOldest).
@@ -104,9 +114,10 @@ class CohortReplayer {
   /// RecordReplayStats (skipped/skip_reason) and counted in
   /// ReplayReport::skipped_records — rather than aborting the whole cohort:
   /// one mis-recorded monitor must not take the ward replay down. Throws
-  /// std::invalid_argument on a name without a trailing record number,
-  /// duplicate patient ids, or an out-of-range channel selection. Not
-  /// reentrant: one replay at a time.
+  /// std::invalid_argument on a missing or corrupt record (io::RecordReader's
+  /// checks), a name without a trailing record number, duplicate patient
+  /// ids, or an out-of-range channel selection — always before any sample
+  /// is pushed. Not reentrant: one replay at a time.
   ReplayReport replay_records(const std::string& dir, const std::vector<std::string>& names,
                               const ReplayOptions& options = {});
 

@@ -3,13 +3,15 @@
 // the same (decoded) samples directly to the single-threaded
 // StreamClassifier — under 1/2/4 workers — with end_stream() flushing the
 // trailing windows a live stream would hold back, per-record stats that add
-// up, real-time pacing that actually paces, and loud failures on mismatched
-// or ambiguous cohorts.
+// up, real-time pacing that actually paces, and loud failures on mismatched,
+// ambiguous or corrupt cohorts — before any sample flows.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -148,6 +150,7 @@ TEST(CohortReplay, BitIdenticalToDirectStreamingUnder124Workers) {
       EXPECT_GT(stats.x_realtime, 0.0);
     }
     EXPECT_GT(report.x_realtime, 0.0);
+    EXPECT_GT(report.load_s, 0.0);
   }
 }
 
@@ -232,6 +235,52 @@ TEST(CohortReplay, MismatchedSamplingRateSkipsTheRecordNotTheCohort) {
     EXPECT_EQ(got[w].decision_value, expected[w].decision_value);
     EXPECT_EQ(got[w].label, expected[w].label);
   }
+}
+
+/// Replay a cohort whose last record was damaged by `corrupt(dir, record)`:
+/// the replay must fail naming that record before any sample flows — no
+/// result reaches the sink and the engine delivers no window.
+void expect_fails_before_streaming(
+    const std::string& tag,
+    const std::function<void(const std::string&, const std::string&)>& corrupt) {
+  const auto dir = fixture_dir(tag);
+  const auto last = io::read_records_index(dir).back();
+  corrupt(dir, last);
+
+  Collector collector;
+  auto registry =
+      std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
+  rt::CohortReplayer replayer(registry, short_window_config(),
+                              engine_opts(2, collector.sink()));
+  try {
+    replayer.replay_directory(dir);
+    ADD_FAILURE() << tag << ": a corrupt record replayed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(last), std::string::npos) << e.what();
+  }
+  replayer.engine().flush();
+  EXPECT_TRUE(collector.per_patient.empty()) << tag;
+  EXPECT_EQ(replayer.engine().stats().delivered_windows, 0u) << tag;
+}
+
+TEST(CohortReplay, CorruptLastRecordFailsBeforeAnySampleFlows) {
+  // The earlier records are intact, so a replayer that checked each record
+  // only as it streamed would already have pushed (and delivered) them.
+  const auto signal_file = [](const std::string& dir, const std::string& record) {
+    return std::filesystem::path(dir) / io::read_header(dir, record).signals[0].file_name;
+  };
+  expect_fails_before_streaming("flipped", [&](const std::string& dir, const std::string& rec) {
+    // Byte 0 is the low byte of the first sample in formats 212, 16 and 80:
+    // flipping its low bit moves that sample by one, breaking the checksum.
+    std::fstream f(signal_file(dir, rec), std::ios::binary | std::ios::in | std::ios::out);
+    const int byte = f.get();
+    f.seekp(0);
+    f.put(static_cast<char>(byte ^ 0x01));
+  });
+  expect_fails_before_streaming("truncated", [&](const std::string& dir, const std::string& rec) {
+    const auto path = signal_file(dir, rec);
+    std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+  });
 }
 
 TEST(CohortReplay, DuplicatePatientIdsThrow) {

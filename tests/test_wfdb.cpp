@@ -1,8 +1,9 @@
 // WFDB record reader/writer: header parsing (comments, defaults, gain
 // specs), format 212/16/80 packing round-trips in BOTH sample-count parities
 // (the trailing half-group is the classic off-by-one trap), multi-channel
-// de-interleaving and ECG channel selection, ADC<->mV conversion, and the
-// corrupt-input failure modes (size mismatch, checksum mismatch).
+// de-interleaving and ECG channel selection, ADC<->mV conversion, slice
+// decoding through io::RecordReader, and the corrupt-input failure modes
+// (size mismatch, checksum mismatch).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -264,6 +265,59 @@ TEST(WfdbSignal, MvConversionAndQuantizationInvert) {
     // ...and re-quantising the decoded value is exact (the replay invariant:
     // a record round-trips through physical units without drift).
     EXPECT_EQ(io::quantize_mv(decoded_mv[s], record.header.signals[0]), adc[s]);
+  }
+}
+
+TEST(WfdbReader, SlicesMatchTheWholeRecordBitForBit) {
+  // Every (format, sample-count parity, channel count) layout, each with a
+  // non-zero baseline and a non-round gain: any slice the reader decodes
+  // equals the same slice of read_record's ADC series and of signal_mv.
+  const auto dir = test_dir("slices");
+  std::mt19937_64 rng(2024);
+  for (const int format : {212, 16, 80}) {
+    for (const std::size_t n : {std::size_t{600}, std::size_t{601}}) {
+      for (const std::size_t channels : {std::size_t{1}, std::size_t{2}}) {
+        const auto name =
+            "s" + std::to_string(format) + "_" + std::to_string(n) + "_" + std::to_string(channels);
+        auto header = one_signal_header(name, format, 201.3330078125, -37);
+        std::vector<std::vector<int>> adc;
+        for (std::size_t c = 0; c < channels; ++c) {
+          if (c > 0) header.signals.push_back(header.signals[0]);
+          header.signals[c].baseline += static_cast<int>(c) * 11;
+          adc.push_back(random_adc(n, io::format_min_value(format),
+                                   io::format_max_value(format), 31 * n + c));
+        }
+        io::write_record(dir, header, adc);
+        const auto record = io::read_record(dir, name);
+        const io::RecordReader reader(dir, name);
+        ASSERT_EQ(reader.num_samples(), n);
+        for (std::size_t c = 0; c < channels; ++c) {
+          ASSERT_EQ(record.adc[c], adc[c]) << name;
+          const auto mv = record.signal_mv(c);
+          for (int trial = 0; trial < 200; ++trial) {
+            const std::size_t offset = std::uniform_int_distribution<std::size_t>(0, n)(rng);
+            const std::size_t len = std::uniform_int_distribution<std::size_t>(0, n - offset)(rng);
+            std::vector<int> got_adc(len);
+            std::vector<double> got_mv(len);
+            reader.read_adc(c, offset, got_adc);
+            reader.read_mv(c, offset, got_mv);
+            for (std::size_t j = 0; j < len; ++j) {
+              ASSERT_EQ(got_adc[j], record.adc[c][offset + j])
+                  << name << " channel " << c << " sample " << offset + j;
+              ASSERT_EQ(got_mv[j], mv[offset + j])
+                  << name << " channel " << c << " sample " << offset + j;
+            }
+          }
+        }
+        // Slices past the end, and channels past the last, throw.
+        std::vector<int> one(1);
+        std::vector<double> none;
+        EXPECT_NO_THROW(reader.read_mv(0, n, none));
+        EXPECT_THROW(reader.read_adc(0, n, one), std::invalid_argument);
+        EXPECT_THROW(reader.read_mv(0, n + 1, none), std::invalid_argument);
+        EXPECT_THROW(reader.read_adc(channels, 0, one), std::invalid_argument);
+      }
+    }
   }
 }
 
