@@ -22,13 +22,12 @@ Refinements that keep the gate honest:
   only when baseline and fresh run report the same `hardware_threads` —
   cross-machine absolute numbers would false-alarm.
 * Thread-scaling metrics (the sharded/continuous/streaming sections, the
-  replay x-real-time multiples, the network-gateway serving rates, and the
-  ward-scheduler static/steal throughputs, which all run through the same
-  threaded engine) are gated whenever the
-  fresh run has AT LEAST as many hardware
-  threads as the baseline: extra cores can only help those paths, so the
-  baseline's machine-normalised ratio is a safe floor. They are skipped
-  only on a smaller machine than the baseline's.
+  replay x-real-time multiples and the network-gateway serving rates, which
+  all run through the same threaded engine) are gated whenever the fresh
+  run has AT LEAST as many hardware threads as the baseline: extra cores
+  can only help those paths, so the baseline's machine-normalised ratio is
+  a safe floor. They are skipped only on a smaller machine than the
+  baseline's.
 * Latency metrics are LOWER-is-better: they are normalised by multiplying
   with the run's own machine speed (latency x float_single_wps = "windows'
   worth of work per delivery"), and a regression is an INCREASE beyond the
@@ -90,16 +89,6 @@ REPLAY_METRICS = [
 NET_METRICS = [
     "net.ingest_msamples_s",
     "net.round_trip_wps",
-]
-# Ward-scale scheduler throughputs (colliding ward at 2 workers, static
-# placement vs work stealing): threaded-engine rates, so they normalise and
-# gate like the thread-scaling class. The deadline-mode numbers in
-# sched.deadline (p99s, controller counters, the `met` flag) are recorded
-# for the run page but deliberately NOT gated: they depend on the host's
-# sleep granularity, and the steal/migration counts are schedule-dependent.
-SCHED_METRICS = [
-    "sched.static_wps",
-    "sched.steal_wps",
 ]
 # Multi-workload serving rates (apnea + AF screening multiplexed through one
 # engine at 2 workers, plus the apnea-only baseline on the same ward):
@@ -197,8 +186,8 @@ def evaluate(fresh, baseline, threshold, absolute=False, echo=print):
 
     failures = []
     for metric in (METRICS + THREADED_METRICS + REPLAY_METRICS + NET_METRICS +
-                   SCHED_METRICS + AF_METRICS + LANES_METRICS + LANES_RATIO_METRICS +
-                   RATIO_METRICS + LOWER_IS_BETTER):
+                   AF_METRICS + LANES_METRICS + LANES_RATIO_METRICS + RATIO_METRICS +
+                   LOWER_IS_BETTER):
         base_value = lookup(baseline, metric)
         fresh_value = lookup(fresh, metric)
         if base_value is None or fresh_value is None:
@@ -238,7 +227,7 @@ def evaluate(fresh, baseline, threshold, absolute=False, echo=print):
             base_score, fresh_score = base_value, fresh_value
         else:
             gated = (scale_armed if metric in THREADED_METRICS + REPLAY_METRICS + NET_METRICS +
-                     SCHED_METRICS + AF_METRICS else True)
+                     AF_METRICS else True)
             base_score, fresh_score = base_value / base_norm, fresh_value / fresh_norm
         change = fresh_score / base_score - 1.0 if base_score else 0.0
         regressed = change > threshold if lower_better else change < -threshold
@@ -259,8 +248,8 @@ def _doc(hw=4, norm=1000.0, **overrides):
     doc = {"hardware_threads": hw, NORMALIZER: norm}
     for metric in METRICS:
         doc.setdefault(metric, 500.0)
-    for metric in (THREADED_METRICS + REPLAY_METRICS + NET_METRICS + SCHED_METRICS +
-                   AF_METRICS + LANES_METRICS + LOWER_IS_BETTER):
+    for metric in (THREADED_METRICS + REPLAY_METRICS + NET_METRICS + AF_METRICS +
+                   LANES_METRICS + LOWER_IS_BETTER):
         head, leaf = metric.split(".")
         doc.setdefault(head, {})[leaf] = 5.0 if leaf.endswith(("_ms", "_us", "_per_sample")) \
             else 800.0
@@ -364,27 +353,6 @@ def self_test():
     del fresh_without_net["net"]
     check("missing net metrics fail",
           len(evaluate(fresh_without_net, _doc(), 0.25, echo=quiet)), 4)
-    # Ward-scheduler throughputs: gate like the thread-scaling class; the
-    # deadline sub-object is never in any gate list, so its report-only
-    # numbers cannot fail the gate however wildly they move.
-    check("sched throughput regression fails",
-          len(evaluate(_doc(**{"sched.steal_wps": 100.0}), _doc(), 0.25, echo=quiet)), 1)
-    check("sched improvement passes",
-          evaluate(_doc(**{"sched.steal_wps": 5000.0}), _doc(), 0.25, echo=quiet), [])
-    check("sched skipped on smaller host",
-          evaluate(_doc(hw=2, **{"sched.static_wps": 100.0}), _doc(hw=4), 0.25,
-                   echo=quiet), [])
-    base_without_sched = _doc()
-    del base_without_sched["sched"]
-    check("new sched metrics skip", evaluate(_doc(), base_without_sched, 0.25, echo=quiet), [])
-    fresh_without_sched = _doc()
-    del fresh_without_sched["sched"]
-    check("missing sched metrics fail",
-          len(evaluate(fresh_without_sched, _doc(), 0.25, echo=quiet)), 2)
-    check("deadline numbers are report-only",
-          evaluate(_doc(**{"sched.deadline": {"managed_p99_ms": 999.0, "met": False}}),
-                   _doc(**{"sched.deadline": {"managed_p99_ms": 1.0, "met": True}}),
-                   0.25, echo=quiet), [])
     # Multi-workload serving rates gate like the thread-scaling class; the
     # quality-gate scan cost gates lower-is-better like the stage costs; and
     # the quality window/span counters live outside every gate list, so they

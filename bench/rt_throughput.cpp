@@ -43,16 +43,6 @@
 //    screening is multiplexed next to apnea through one engine over the
 //    shared per-patient substrate, vs the apnea-only baseline on the same
 //    ward.
-//  * ward-scale scheduler: a colliding ward (every patient id hashes to
-//    shard 0) at 2 workers, static placement vs work stealing — on a
-//    multi-core host stealing should recover most of the idle worker — plus
-//    a saturated deadline-mode demo: an expensive delivery sink behind a
-//    short blocking queue, unmanaged vs managed steady-state delivery p99
-//    (final quarter of deliveries) against a fixed target, with the
-//    controller's stride-widening / shedding counters. The deadline numbers
-//    are recorded for the run page but not CI-gated (they depend on sleep
-//    granularity); the two throughput numbers gate like the other
-//    worker-scaling metrics.
 //  * WFDB cohort replay: a writer-generated fixture ward replayed through
 //    rt::CohortReplayer (chunked admission -> sharded engine ->
 //    end-of-record flush), reported as the achieved x-real-time multiple at
@@ -290,8 +280,8 @@ ShardedRun sharded_flush_rate(const std::shared_ptr<rt::ModelRegistry>& registry
 /// Continuous mode: a sink counts results as each patient batch classifies;
 /// the only flush() is the terminal fence. Also reports the per-batch
 /// delivery-latency percentiles the engine records (queue entry -> sink).
-/// The queue is bounded with lossless backpressure (like the scheduler
-/// section, and like any deployment that must not OOM): a shallow queue
+/// The queue is bounded with lossless backpressure (like any deployment
+/// that must not OOM): a shallow queue
 /// keeps the recycled chunk buffers cache-warm, where an unbounded one lets
 /// a fast producer march the copy loop through tens of MB of cold memory.
 ShardedRun continuous_rate(const std::shared_ptr<rt::ModelRegistry>& registry,
@@ -303,9 +293,9 @@ ShardedRun continuous_rate(const std::shared_ptr<rt::ModelRegistry>& registry,
   double wall_s = 0.0;
   std::size_t passes = 0;
   std::size_t total_windows = 0;
-  // Repeated passes with a wall-time budget (like the sched and replay
-  // sections): one pass over even a multi-hour ward is only tens of
-  // milliseconds of wall time, well inside scheduler noise on a busy host.
+  // Repeated passes with a wall-time budget (like the replay section): one
+  // pass over even a multi-hour ward is only tens of milliseconds of wall
+  // time, well inside scheduler noise on a busy host.
   do {
     std::atomic<std::size_t> delivered{0};
     rt::EngineOptions options;
@@ -464,131 +454,6 @@ AfRun af_dual_workload_rate(const std::map<int, ecg::EcgWaveform>& ward, std::si
   run.dual_apnea_wps = static_cast<double>(apnea_total) / wall_s;
   run.dual_af_wps = static_cast<double>(af_total) / wall_s;
   run.dual_total_wps = static_cast<double>(apnea_total + af_total) / wall_s;
-  return run;
-}
-
-// --- Ward-scale scheduler: work stealing and deadline mode -------------------
-
-/// A ward whose patient ids all hash to shard 0 of `workers` under the
-/// default Fibonacci placement — the admission-order pathology the scheduler
-/// exists for. Static hashing leaves every other worker idle, so any
-/// throughput recovered on a multi-core host is attributable to stealing.
-std::map<int, ecg::EcgWaveform> synth_colliding_ward(std::size_t patients, double duration_s,
-                                                     std::size_t workers) {
-  std::map<int, ecg::EcgWaveform> ward;
-  std::size_t made = 0;
-  for (int pid = 1; made < patients; ++pid) {
-    if (rt::fibonacci_shard(pid, workers) != 0) continue;
-    ecg::PatientProfile profile;
-    ecg::SessionEvents events;
-    ecg::SessionSignalParams sp;
-    sp.duration_s = duration_s;
-    std::mt19937_64 rng(7100 + made);
-    ward[pid] = ecg::synthesize_session(profile, events, sp, ecg::EcgSynthParams{}, rng);
-    ++made;
-  }
-  return ward;
-}
-
-struct SchedRun {
-  double windows_per_s = 0.0;
-  std::size_t windows = 0;  ///< Per pass.
-  std::size_t passes = 0;
-  rt::SchedulerStats sched;  ///< From the final pass.
-};
-
-/// Colliding-ward throughput with stealing on or off. The shard queues are
-/// short and blocking, so the producer is throttled to pipeline speed and
-/// the hot shard keeps a visible backlog for idle workers to steal from
-/// while chunks still arrive (a flush fence pauses steal scans, so all the
-/// stealing happens during the push phase — which is also when it matters).
-/// Fresh engine per pass: placement and the steal schedule replay from
-/// scratch every time.
-SchedRun sched_ward_rate(const std::shared_ptr<rt::ModelRegistry>& registry,
-                         const std::map<int, ecg::EcgWaveform>& ward, std::size_t workers,
-                         bool steal) {
-  const auto config = ward_stream_config();
-  const std::size_t chunk = static_cast<std::size_t>(4.0 * config.fs_hz);
-  SchedRun run;
-  double wall_s = 0.0;
-  std::size_t total_windows = 0;
-  using clock = std::chrono::steady_clock;
-  do {
-    rt::EngineOptions options;
-    options.num_workers = workers;
-    options.queue_capacity = 16;
-    options.backpressure = rt::BackpressurePolicy::kBlock;
-    options.stealing.enable = steal;
-    options.stealing.min_backlog = 2;
-    std::atomic<std::size_t> delivered{0};
-    options.sink = [&delivered](std::span<const rt::WindowResult> batch) {
-      delivered += batch.size();
-    };
-    const auto start = clock::now();
-    rt::ShardedStreamClassifier classifier(registry, config, std::move(options));
-    push_ward(classifier, ward, chunk);
-    classifier.flush();
-    wall_s += std::chrono::duration<double>(clock::now() - start).count();
-    run.windows = delivered.load();
-    run.sched = classifier.scheduler_stats();
-    total_windows += run.windows;
-    ++run.passes;
-  } while (wall_s < 0.3);
-  run.windows_per_s = static_cast<double>(total_windows) / wall_s;
-  return run;
-}
-
-struct DeadlineRun {
-  double steady_p99_ms = 0.0;  ///< p99 over the final quarter of deliveries.
-  std::size_t windows = 0;
-  rt::SchedulerStats sched;
-  std::size_t shed_chunks = 0;
-};
-
-/// Saturated single worker behind an expensive delivery sink (simulated
-/// alarm fan-out: a fixed per-window cost downstream of classification) and
-/// a short blocking queue. Unmanaged, delivery latency settles at roughly
-/// queue_capacity x per-chunk service time; the deadline controller widens
-/// the stride (fewer windows per chunk, so less sink work) and finally
-/// sheds, pulling the tail back under the target. The steady-state p99 is
-/// taken over the final quarter of deliveries for BOTH runs: the whole-run
-/// p99 would charge the managed run for the pre-engagement transient the
-/// controller needs a few polls to observe.
-DeadlineRun deadline_ward_rate(const std::shared_ptr<rt::ModelRegistry>& registry,
-                               const std::map<int, ecg::EcgWaveform>& ward,
-                               double target_p99_s) {
-  rt::StreamConfig config;
-  config.fs_hz = 250.0;
-  config.window_s = 8.0;
-  config.stride_s = 2.0;  // One window per 2 s chunk once warm.
-  const std::size_t chunk = static_cast<std::size_t>(config.stride_s * config.fs_hz);
-  rt::EngineOptions options;
-  options.num_workers = 1;
-  options.queue_capacity = 16;
-  options.backpressure = rt::BackpressurePolicy::kBlock;
-  options.deadline.target_p99_s = target_p99_s;  // 0 = unmanaged reference run.
-  options.deadline.poll_interval_s = 0.005;
-  std::atomic<std::size_t> delivered{0};
-  options.sink = [&delivered](std::span<const rt::WindowResult> batch) {
-    delivered += batch.size();
-    std::this_thread::sleep_for(std::chrono::microseconds(300) * batch.size());
-  };
-  rt::ShardedStreamClassifier classifier(registry, config, std::move(options));
-  push_ward(classifier, ward, chunk);
-  classifier.flush();
-  DeadlineRun run;
-  run.windows = delivered.load();
-  run.sched = classifier.scheduler_stats();
-  run.shed_chunks = run.sched.shed_chunks;
-  const auto latencies = classifier.delivery_latencies_s();
-  if (!latencies.empty()) {
-    // The reservoir is in append order below its 4096 capacity (one shard,
-    // far fewer deliveries), so the tail IS the latest deliveries.
-    const std::size_t quarter = std::max<std::size_t>(latencies.size() / 4, 1);
-    const std::vector<double> tail(latencies.end() - static_cast<std::ptrdiff_t>(quarter),
-                                   latencies.end());
-    run.steady_p99_ms = dsp::percentile(tail, 99.0) * 1e3;
-  }
   return run;
 }
 
@@ -1225,42 +1090,6 @@ int main() {
   std::printf("  delivery (sink -> send): p50 %.2f ms, p99 %.2f ms\n", net_run.delivery_p50_ms,
               net_run.delivery_p99_ms);
 
-  // --- Ward-scale scheduler ----------------------------------------------------
-  constexpr std::size_t kSchedWorkers = 2;
-  const auto colliding_ward = synth_colliding_ward(4, 120.0, kSchedWorkers);
-  std::printf("\nward-scale scheduler: 4 patients x 120 s whose ids all hash to shard 0 of %zu"
-              "\n(static placement leaves the other worker idle; stealing re-homes patients)\n",
-              kSchedWorkers);
-  const auto sched_static = sched_ward_rate(registry, colliding_ward, kSchedWorkers, false);
-  const auto sched_steal = sched_ward_rate(registry, colliding_ward, kSchedWorkers, true);
-  const double steal_speedup = sched_steal.windows_per_s / sched_static.windows_per_s;
-  std::printf("  static hash:   %8.1f windows/s  (%zu windows/pass, %zu passes)\n",
-              sched_static.windows_per_s, sched_static.windows, sched_static.passes);
-  std::printf("  stealing on:   %8.1f windows/s  (%.2fx static; last pass: %zu steals,"
-              " %zu migrations, %zu chunks moved)\n",
-              sched_steal.windows_per_s, steal_speedup, sched_steal.sched.steals,
-              sched_steal.sched.migrations, sched_steal.sched.migrated_chunks);
-  if (hw_threads < kSchedWorkers)
-    std::printf("  (host has %zu hardware thread%s; stealing cannot show a speedup here)\n",
-                hw_threads, hw_threads == 1 ? "" : "s");
-
-  constexpr double kDeadlineTargetMs = 5.0;
-  const auto deadline_ward = synth_ward(3, 240.0);
-  std::printf("deadline mode: 3 patients x 240 s, 8 s windows / 2 s stride, 1 worker,"
-              " 16-chunk queue,\nsimulated 0.3 ms/window alarm fan-out in the sink"
-              " (target p99 %.1f ms, steady state =\nfinal quarter of deliveries)\n",
-              kDeadlineTargetMs);
-  const auto unmanaged = deadline_ward_rate(registry, deadline_ward, 0.0);
-  const auto managed = deadline_ward_rate(registry, deadline_ward, kDeadlineTargetMs * 1e-3);
-  const bool deadline_met = managed.steady_p99_ms <= kDeadlineTargetMs;
-  std::printf("  unmanaged: steady p99 %6.2f ms  (%zu windows delivered)\n",
-              unmanaged.steady_p99_ms, unmanaged.windows);
-  std::printf("  managed:   steady p99 %6.2f ms  (%zu windows, %zu stride widenings,"
-              " %zu shed activations, %zu chunks shed) %s\n",
-              managed.steady_p99_ms, managed.windows, managed.sched.stride_widenings,
-              managed.sched.shed_activations, managed.shed_chunks,
-              deadline_met ? "-- target met" : "-- target MISSED");
-
   std::printf("\nbatched float fast path vs single-window float loop: %.2fx %s\n",
               float_batch64 / float_single,
               float_batch64 / float_single >= 3.0 ? "(>= 3x target met)" : "(below 3x target!)");
@@ -1364,27 +1193,6 @@ int main() {
     std::fprintf(json, "    \"round_trip_wps\": %.1f,\n", net_run.round_trip_wps);
     std::fprintf(json, "    \"delivery_p50_ms\": %.3f,\n", net_run.delivery_p50_ms);
     std::fprintf(json, "    \"delivery_p99_ms\": %.3f\n", net_run.delivery_p99_ms);
-    std::fprintf(json, "  },\n");
-    std::fprintf(json, "  \"sched\": {\n");
-    std::fprintf(json, "    \"patients\": 4, \"duration_s\": 120.0, \"workers\": %zu,\n",
-                 kSchedWorkers);
-    std::fprintf(json, "    \"static_wps\": %.1f,\n", sched_static.windows_per_s);
-    std::fprintf(json, "    \"steal_wps\": %.1f,\n", sched_steal.windows_per_s);
-    std::fprintf(json, "    \"steal_speedup\": %.3f,\n", steal_speedup);
-    std::fprintf(json, "    \"steals\": %zu,\n", sched_steal.sched.steals);
-    std::fprintf(json, "    \"migrations\": %zu,\n", sched_steal.sched.migrations);
-    std::fprintf(json, "    \"migrated_chunks\": %zu,\n", sched_steal.sched.migrated_chunks);
-    std::fprintf(json, "    \"deadline\": {\n");
-    std::fprintf(json, "      \"target_ms\": %.1f,\n", kDeadlineTargetMs);
-    std::fprintf(json, "      \"unmanaged_p99_ms\": %.3f,\n", unmanaged.steady_p99_ms);
-    std::fprintf(json, "      \"managed_p99_ms\": %.3f,\n", managed.steady_p99_ms);
-    std::fprintf(json, "      \"met\": %s,\n", deadline_met ? "true" : "false");
-    std::fprintf(json, "      \"stride_widenings\": %zu,\n", managed.sched.stride_widenings);
-    std::fprintf(json, "      \"shed_activations\": %zu,\n", managed.sched.shed_activations);
-    std::fprintf(json, "      \"shed_chunks\": %zu,\n", managed.shed_chunks);
-    std::fprintf(json, "      \"unmanaged_windows\": %zu,\n", unmanaged.windows);
-    std::fprintf(json, "      \"managed_windows\": %zu\n", managed.windows);
-    std::fprintf(json, "    }\n");
     std::fprintf(json, "  },\n");
     std::fprintf(json, "  \"quality\": {\n");
     std::fprintf(json, "    \"patients\": 8, \"duration_s\": 120.0,\n");

@@ -49,6 +49,17 @@ void set_simd_tier_override(SimdTier tier) {
   tier_state().store(tier < cpu ? tier : cpu, std::memory_order_relaxed);
 }
 
+SimdTier simd_effective_tier() {
+  SimdTier tier = simd_tier();
+#if !defined(SVT_HAVE_AVX2_KERNELS)
+  if (tier == SimdTier::kAvx2) tier = SimdTier::kSse2;
+#endif
+#if !(defined(__SSE2__) || defined(_M_X64))
+  if (tier == SimdTier::kSse2) tier = SimdTier::kScalar;
+#endif
+  return tier;
+}
+
 const char* simd_tier_name(SimdTier tier) {
   switch (tier) {
     case SimdTier::kScalar: return "scalar";

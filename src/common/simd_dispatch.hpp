@@ -9,10 +9,10 @@
 // "sse2" or "avx2") or programmatically with set_simd_tier_override, so the
 // fallback paths are continuously exercised on wide hardware.
 //
-// The tier reported here is what the *CPU and the user* allow; a kernel
-// additionally clamps to what its translation units were compiled with
-// (e.g. the AVX2 lane kernel clamps to SSE2 when the toolchain could not
-// build -mavx2 code).
+// simd_tier() reports what the *CPU and the user* allow;
+// simd_effective_tier() additionally clamps to what this build compiled
+// (SSE2 when the toolchain could not build the -mavx2 kernel TUs) and is
+// the tier every runtime-dispatched kernel runs at.
 #pragma once
 
 namespace svt::common {
@@ -32,6 +32,12 @@ SimdTier simd_tier_detected();
 /// pass detected to restore. Not thread-safe against concurrent
 /// simd_tier() callers — set it before spawning workers.
 void set_simd_tier_override(SimdTier tier);
+
+/// simd_tier() clamped to the ISAs this build compiled kernels for: AVX2
+/// only when the -mavx2 kernel translation units were built (CMake defines
+/// SVT_HAVE_AVX2_KERNELS for this file under the same condition), SSE2 only
+/// on SSE2 targets.
+SimdTier simd_effective_tier();
 
 /// "scalar", "sse2" or "avx2".
 const char* simd_tier_name(SimdTier tier);

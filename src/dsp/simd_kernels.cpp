@@ -6,15 +6,6 @@
 
 namespace svt::dsp::detail {
 
-common::SimdTier dsp_effective_tier() {
-  common::SimdTier tier = common::simd_tier();
-  if (tier == common::SimdTier::kAvx2 && !dsp_avx2_compiled()) tier = common::SimdTier::kSse2;
-#if !(defined(__SSE2__) || defined(_M_X64))
-  if (tier == common::SimdTier::kSse2) tier = common::SimdTier::kScalar;
-#endif
-  return tier;
-}
-
 namespace {
 
 void lerp_grid_span_scalar(double start, double fs, double t_lo, double span, double v_lo,
@@ -106,7 +97,7 @@ void psd_bins_sse2(const double* interleaved, std::size_t k_begin, std::size_t k
 
 void lerp_grid_span(double start, double fs, double t_lo, double span, double v_lo, double v_hi,
                     std::size_t i0, std::size_t count, double* out) {
-  switch (dsp_effective_tier()) {
+  switch (common::simd_effective_tier()) {
     case common::SimdTier::kAvx2:
       lerp_grid_span_avx2(start, fs, t_lo, span, v_lo, v_hi, i0, count, out);
       return;
@@ -120,7 +111,7 @@ void lerp_grid_span(double start, double fs, double t_lo, double span, double v_
 }
 
 void taper_into_complex(const double* x, const double* w, std::size_t n, double* interleaved) {
-  switch (dsp_effective_tier()) {
+  switch (common::simd_effective_tier()) {
     case common::SimdTier::kAvx2: taper_into_complex_avx2(x, w, n, interleaved); return;
 #if defined(__SSE2__) || defined(_M_X64)
     case common::SimdTier::kSse2: taper_sse2(x, w, n, interleaved); return;
@@ -131,7 +122,7 @@ void taper_into_complex(const double* x, const double* w, std::size_t n, double*
 
 void psd_interior_bins(const double* interleaved, std::size_t k_begin, std::size_t k_end,
                        double norm, bool accumulate, double* power) {
-  switch (dsp_effective_tier()) {
+  switch (common::simd_effective_tier()) {
     case common::SimdTier::kAvx2:
       psd_interior_bins_avx2(interleaved, k_begin, k_end, norm, accumulate, power);
       return;

@@ -5,7 +5,8 @@
 // replicates its scalar loop's exact elementwise operation order (IEEE
 // add/mul/sub/div, no FMA, no reassociation), so the vector paths are
 // bit-identical to the scalar reference at every tier. The tier is chosen
-// per call from common::simd_tier() clamped to what this build compiled —
+// per call from common::simd_effective_tier() (the runtime tier clamped to
+// what this build compiled) —
 // one binary, runtime cpuid, SVT_LANE_ISA-forcible for CI.
 #pragma once
 
@@ -14,12 +15,6 @@
 #include "common/simd_dispatch.hpp"
 
 namespace svt::dsp::detail {
-
-/// Runtime tier clamped to the ISAs this build compiled for the dsp kernels.
-common::SimdTier dsp_effective_tier();
-
-/// Whether simd_kernels_avx2.cpp carries AVX2 code in this build.
-bool dsp_avx2_compiled();
 
 /// Uniform-grid linear interpolation over one source segment:
 /// out[j] = v_lo*(1-frac) + v_hi*frac for grid index i = i0+j, j in
@@ -40,7 +35,7 @@ void psd_interior_bins(const double* interleaved, std::size_t k_begin, std::size
                        double norm, bool accumulate, double* power);
 
 // AVX2 variants (compiled in simd_kernels_avx2.cpp when the toolchain
-// supports -mavx2; called only when dsp_effective_tier() == kAvx2).
+// supports -mavx2; called only when common::simd_effective_tier() == kAvx2).
 void lerp_grid_span_avx2(double start, double fs, double t_lo, double span, double v_lo,
                          double v_hi, std::size_t i0, std::size_t count, double* out);
 void taper_into_complex_avx2(const double* x, const double* w, std::size_t n,

@@ -14,14 +14,6 @@
 
 namespace svt::dsp::detail {
 
-bool dsp_avx2_compiled() {
-#if defined(__AVX2__)
-  return true;
-#else
-  return false;
-#endif
-}
-
 #if defined(__AVX2__)
 
 namespace {

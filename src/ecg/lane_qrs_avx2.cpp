@@ -17,14 +17,6 @@
 
 namespace svt::ecg::detail {
 
-bool lane_avx2_compiled() {
-#if defined(__AVX2__)
-  return true;
-#else
-  return false;
-#endif
-}
-
 #if defined(__AVX2__)
 
 void lane_step_block_avx2(const LaneCoeffs& c, LaneFilterState& s, std::size_t base,

@@ -79,9 +79,4 @@ void lane_step_block_sse2(const LaneCoeffs& c, LaneFilterState& s, std::size_t b
 void lane_step_block_avx2(const LaneCoeffs& c, LaneFilterState& s, std::size_t base,
                           LaneRun* runs, std::size_t steps);
 
-/// Whether this build carries AVX2 code for lane_step_block_avx2 (the TU is
-/// compiled with -mavx2 only when the toolchain supports it); when false the
-/// engine clamps its dispatch to SSE2.
-bool lane_avx2_compiled();
-
 }  // namespace svt::ecg::detail

@@ -74,9 +74,8 @@ struct GatewayOptions {
   /// Deprecated alias for engine.num_workers (the larger of the two wins).
   std::size_t num_workers = 1;
   /// Unified configuration for the embedded engine: workers, shard-queue
-  /// sizing/backpressure, placement policy, work stealing, deadline mode
-  /// (rt::EngineOptions). The sink field is ignored — the gateway installs
-  /// its own routing sink.
+  /// sizing/backpressure, placement policy (rt::EngineOptions). The sink
+  /// field is ignored — the gateway installs its own routing sink.
   rt::EngineOptions engine;
   /// Encoded decision batches queued per connection before the sink applies
   /// backpressure (0 = unbounded).

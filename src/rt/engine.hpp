@@ -1,15 +1,11 @@
 // The unified serving-engine surface: one options struct and one minimal
 // interface shared by every entry point.
 //
-// Before this header, the runtime grew three parallel 5-argument
-// constructor stacks (ShardedStreamClassifier, CohortReplayer, ServeGateway)
-// that could not gain a scheduler knob without breaking every caller. Now:
-//
 //  * rt::EngineOptions carries everything an engine needs beyond the model
 //    registry and StreamConfig — worker count, queue sizing/backpressure,
-//    placement policy, work stealing, deadline mode, and the result sink —
-//    and is consumed uniformly by all three entry points (the old
-//    positional signatures survive as thin deprecated shims).
+//    placement policy and the result sink — and is the only way to
+//    configure all three entry points (ShardedStreamClassifier,
+//    CohortReplayer, ServeGateway).
 //
 //  * rt::Engine is the minimal interface a driver needs to stream against
 //    (push_samples / end_stream / flush / stats), implemented by both the
@@ -49,38 +45,6 @@ struct WindowResult {
 /// stream order; calls for different patients may be concurrent.
 using ResultSink = std::function<void(std::span<const WindowResult>)>;
 
-/// Work-stealing knobs (sharded engine only). Off by default: stealing
-/// moves patients between shards, so shard_of() answers are only stable
-/// while it is disabled.
-struct StealConfig {
-  bool enable = false;
-  /// An idle worker only steals a patient with at least this many queued
-  /// tasks on the victim (stealing a nearly-drained patient is churn).
-  std::size_t min_backlog = 2;
-};
-
-/// Deadline mode (sharded engine only): a periodic controller watches the
-/// rolling p99 of delivery_latencies_s() against target_p99_s and degrades
-/// *before* breach — first widening the effective window stride (x2, then
-/// x4: fewer overlapping windows per sample), then forcing drop-oldest
-/// shedding on the shard queues — and backs off symmetrically once the tail
-/// recovers. Every action is counted in SchedulerStats.
-/// Requires a bounded queue: the sharded engine rejects target_p99_s > 0
-/// with EngineOptions::queue_capacity == 0 at construction, because the
-/// final shedding level evicts against the queue bound and would otherwise
-/// be a silent no-op.
-struct DeadlineConfig {
-  double target_p99_s = 0.0;  ///< 0 disables the controller.
-  double poll_interval_s = 0.05;
-  /// Degrade one level when rolling p99 exceeds arm_fraction * target
-  /// (acting at the target itself would already be a breach).
-  double arm_fraction = 0.8;
-  /// Recover one level after recover_polls consecutive polls with p99 below
-  /// recover_fraction * target.
-  double recover_fraction = 0.5;
-  int recover_polls = 4;
-};
-
 /// Everything an engine needs beyond the registry and stream config,
 /// consumed uniformly by ShardedStreamClassifier, CohortReplayer, and
 /// net::ServeGateway.
@@ -92,22 +56,8 @@ struct EngineOptions {
   std::size_t num_workers = 1;
   /// Patient -> shard assignment; null = FibonacciPlacement.
   std::shared_ptr<PlacementPolicy> placement;
-  StealConfig stealing;
-  DeadlineConfig deadline;
   /// Continuous delivery sink; empty = collect for flush() (legacy mode).
   ResultSink sink;
-};
-
-/// Scheduler counters (all zero on the single-threaded engine and whenever
-/// stealing/deadline mode are off).
-struct SchedulerStats {
-  std::size_t steals = 0;            ///< Migration requests issued.
-  std::size_t migrations = 0;        ///< Patients actually re-homed.
-  std::size_t migrated_chunks = 0;   ///< Queued tasks moved victim -> thief.
-  std::size_t stride_widenings = 0;  ///< Deadline stride escalations.
-  std::size_t shed_activations = 0;  ///< Times forced shedding switched on.
-  std::size_t shed_chunks = 0;       ///< Chunks dropped by forced shedding.
-  std::size_t deadline_level = 0;    ///< Current degradation level (0 = none).
 };
 
 /// Uniform counters every engine can answer.
@@ -120,7 +70,6 @@ struct EngineStats {
   /// suppress policy. Counted per window position, not per workload.
   std::size_t windows_annotated = 0;
   std::size_t windows_suppressed = 0;
-  SchedulerStats scheduler;
 };
 
 /// The minimal surface a streaming driver needs. Implementations document

@@ -2,15 +2,15 @@
 //
 // A PlacementPolicy answers one question — which shard should own a patient
 // — and is consulted exactly once per patient, when the engine first sees
-// the id (and again only if the caller explicitly rebalances the patient:
-// migration is the scheduler's job, not the policy's). The engine passes a
-// snapshot of per-shard load so policies can be load-aware; the default
-// FibonacciPlacement ignores it and hashes the id, which keeps placement a
-// pure function of (id, shard count) — the historical behaviour, and the
-// right choice when producers push from many threads and a deterministic
-// assignment matters more than balance. LeastLoadedPlacement picks the
-// shard with the fewest queued tasks (ties: fewest patients, then lowest
-// index), which spreads a ward whose ids happen to collide under the hash.
+// the id; the patient stays on that shard for the engine's lifetime. The
+// engine passes a snapshot of per-shard load so policies can be load-aware;
+// the default FibonacciPlacement ignores it and hashes the id, which keeps
+// placement a pure function of (id, shard count) — the historical
+// behaviour, and the right choice when producers push from many threads and
+// a deterministic assignment matters more than balance. LeastLoadedPlacement
+// picks the shard with the fewest queued tasks (ties: fewest patients, then
+// lowest index), which spreads a ward whose ids happen to collide under the
+// hash.
 //
 // Contract: place() is called under the engine's routing lock — it must be
 // fast, must not call back into the engine, and must return a value

@@ -1,6 +1,4 @@
-// Continuous sharded multi-patient serving engine with a ward-scale
-// scheduler: pluggable placement, whole-patient work stealing, and a
-// deadline controller.
+// Continuous sharded multi-patient serving engine.
 //
 // Patients are sharded across N worker threads; each worker owns a private
 // WindowExtractor AND classifies its own patients' windows, delivering
@@ -17,37 +15,11 @@
 //   └─────────────┘  block/drop  │  -> ResultSink(batch)   ──────────────────> results
 //                                └────────────────────────────────────────┘
 //
-// Scheduling (all through rt::EngineOptions):
-//
-//  * Placement — a patient's home shard is decided by the pluggable
-//    rt::PlacementPolicy exactly once, when the engine first sees the id;
-//    the decision is cached in the route table. The default
-//    FibonacciPlacement reproduces the engine's historical static hash;
-//    LeastLoadedPlacement spreads wards whose ids collide under it.
-//
-//  * Work stealing (StealConfig) — an idle worker steals whole PATIENTS,
-//    never chunks: it picks the patient with the deepest backlog on another
-//    shard and posts a migration token to the victim. The victim executes
-//    the hand-off at a batch boundary, atomically under the routing lock:
-//    it lifts the patient's entire queued backlog out of its queue
-//    (extract_matching), verifies the cutoff is exact against the route
-//    table's issued/settled counters (an in-flight producer push retries
-//    the token), detaches the patient's extraction state from its lane
-//    pack, re-homes the route, and forwards state + backlog to the thief.
-//    The thief lazily attaches the state before the patient's next batch.
-//    Because lanes compute bit-identically regardless of pack composition
-//    (see ecg::LaneQrsDetector), per-patient results are bit-exact under
-//    ANY steal schedule — stealing changes where a patient runs, never
-//    what it computes. Chunks therefore migrate only between batches and a
-//    patient is always processed by exactly one worker at a time.
-//
-//  * Deadline mode (DeadlineConfig) — a controller thread watches the
-//    rolling p99 of delivery_latencies_s() against a target and degrades
-//    BEFORE breach: level 1 widens the effective window stride x2 (fewer
-//    overlapping windows per sample), level 2 widens x4, level 3 forces
-//    drop-oldest shedding on the shard queues. It backs off level by level
-//    once the tail holds below recover_fraction * target. Every action is
-//    counted in SchedulerStats (scheduler_stats() / stats().scheduler).
+// Placement: a patient's home shard is decided by the pluggable
+// rt::PlacementPolicy exactly once, when the engine first pushes samples
+// for the id; the decision is cached in the route table and never changes.
+// The default FibonacciPlacement reproduces the engine's historical static
+// hash; LeastLoadedPlacement spreads wards whose ids collide under it.
 //
 // Lane coalescing: after popping one chunk, a worker drains whatever other
 // patients' chunks are already queued (up to the lane-pack width) and
@@ -62,8 +34,7 @@
 //
 //  * each sink invocation is ONE patient's windows, in time order;
 //  * invocations for a given patient arrive in stream order (the patient's
-//    chunks are processed serially by whichever worker owns it — migration
-//    hands the patient off wholesale, so ownership is never shared);
+//    chunks are processed serially by the one worker that owns it);
 //  * different patients' batches may be delivered concurrently from
 //    different workers — the sink must be thread-safe across patients.
 //
@@ -71,34 +42,26 @@
 // with a configurable policy — kBlock throttles producers to pipeline
 // throughput (lossless), kDropOldest evicts the stalest queued chunk and
 // counts it in dropped_chunks() (freshest-data-wins for live monitoring).
-// Fences and migrations bypass capacity, so flush() and stealing work even
-// against saturated queues.
+// Fences, evictions and end-of-stream markers bypass capacity, so flush()
+// works even against saturated queues.
 //
 // flush() is retained as a drain-and-fence compatibility wrapper: it fences
 // every shard (waits until everything pushed before the call has been
 // extracted, classified, and delivered) and, when no sink is installed,
 // returns the windows collected since the last flush sorted by (patient,
 // start time). With a sink installed, flush() is a pure fence and returns
-// an empty vector. Migrations pause while a flush is fencing (a hand-off
-// must not move queued chunks past a fence already posted to the
-// destination) and resume after it completes; flush() then waits for them
-// to resolve, so the fence is total — once it returns, the route table and
-// scheduler counters are settled too, and shard_of()/scheduler_stats() read
-// race-free.
+// an empty vector.
 //
 // Hot-swap fencing: workers snapshot a patient's model from the registry
 // once per classified batch, so an install() takes effect at the patient's
 // next batch boundary — never mid-batch.
 //
-// Determinism: a patient's chunks are processed serially by one worker at a
-// time, in push order, through per-window arithmetic identical to the
-// single-threaded StreamClassifier; detach/attach carries the exact filter,
-// ring, and threshold state across shards. Per-patient results are
-// therefore bit-identical for ANY worker count, placement, chunk
-// interleaving, delivery mode, or migration schedule (asserted by
-// tests/test_rt_shard.cpp, test_rt_continuous.cpp, and test_rt_sched.cpp) —
-// as long as the deadline controller is off (stride widening deliberately
-// trades window density for latency).
+// Determinism: a patient's chunks are processed serially by one worker, in
+// push order, through per-window arithmetic identical to the
+// single-threaded StreamClassifier. Per-patient results are therefore
+// bit-identical for ANY worker count, placement, chunk interleaving, or
+// delivery mode (asserted by tests/test_rt_shard.cpp,
+// test_rt_continuous.cpp, and test_rt_sched.cpp).
 //
 // Thread-safety contract: push_samples may be called from many threads
 // concurrently (and may block under the kBlock policy); flush() must not
@@ -113,6 +76,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -130,10 +94,8 @@ class ShardedStreamClassifier final : public Engine {
  public:
   /// Unified constructor: everything beyond the registry and stream config
   /// comes through rt::EngineOptions (worker count, queue sizing, placement,
-  /// stealing, deadline mode, sink). Throws std::invalid_argument on a null
-  /// registry, a bad stream config (same rules as WindowExtractor), or
-  /// deadline mode over an unbounded queue (deadline.target_p99_s > 0 with
-  /// queue_capacity == 0 — forced shedding needs a bound to evict against).
+  /// sink). Throws std::invalid_argument on a null registry or a bad stream
+  /// config (same rules as WindowExtractor).
   ShardedStreamClassifier(std::shared_ptr<ModelRegistry> registry, StreamConfig config = {},
                           EngineOptions options = {});
 
@@ -142,10 +104,6 @@ class ShardedStreamClassifier final : public Engine {
   /// still be installed later).
   ShardedStreamClassifier(const core::TailoredDetector& detector, StreamConfig config,
                           EngineOptions options = {});
-  // The pre-scheduler positional (registry, config, num_workers, options,
-  // sink) constructors are gone: every in-repo caller moved to
-  // rt::EngineOptions when the multi-workload API landed. Set
-  // options.num_workers / options.sink instead.
 
   ~ShardedStreamClassifier() override;
   ShardedStreamClassifier(const ShardedStreamClassifier&) = delete;
@@ -154,10 +112,10 @@ class ShardedStreamClassifier final : public Engine {
   /// Install (or clear, with an empty function) the continuous delivery
   /// sink. Prefer EngineOptions::sink at construction; this mutator exists
   /// for drivers that re-point delivery between runs. The engine must be
-  /// QUIESCENT — every pushed task settled, e.g. right after construction or
-  /// a flush() — because a batch classified concurrently with the swap could
-  /// be delivered to either sink. Throws std::logic_error when work is in
-  /// flight.
+  /// QUIESCENT — every pushed task processed or dropped by backpressure,
+  /// e.g. right after construction or a flush() — because a batch
+  /// classified concurrently with the swap could be delivered to either
+  /// sink. Throws std::logic_error when work is in flight.
   void set_result_sink(ResultSink sink);
 
   /// Route a chunk of raw ECG samples (mV) to the patient's shard. Under
@@ -181,35 +139,26 @@ class ShardedStreamClassifier final : public Engine {
   /// End a finite patient stream: the owning worker flushes the detector
   /// tail, classifies and delivers the trailing windows the live path holds
   /// back (see WindowExtractor::end_patient), and drops the patient's
-  /// stream state. Asynchronous like push_samples, so the patient's
-  /// existence cannot be answered synchronously: always returns true; fence
-  /// with flush() to wait for the tail delivery.
+  /// stream state. Asynchronous like push_samples: fence with flush() to
+  /// wait for the tail delivery. Returns false, and does nothing, for a
+  /// patient the engine has never been pushed samples for; true otherwise
+  /// (whether the worker still holds state is only known asynchronously).
   bool end_stream(int patient_id) override;
 
   /// Drop a patient's extraction state (detector, beat ring, window phase)
   /// on their shard. Asynchronous: takes effect after chunks already queued
   /// for the shard; fence with flush() for a synchronous guarantee. Frees
   /// memory for patients that left the ward — the registry entry (and the
-  /// patient's route) are untouched.
+  /// patient's route) are untouched. A no-op for a patient the engine has
+  /// never been pushed samples for.
   void evict_patient(int patient_id);
 
-  /// Which shard (worker) currently serves a patient. For a patient the
-  /// engine has seen, this reads the route table (exact, but stale the
-  /// moment a migration lands). For an unseen patient it asks the placement
-  /// policy prospectively — exact for stateless policies (the default
-  /// Fibonacci hash), a load-dependent guess otherwise. Stable for the
-  /// engine's lifetime when stealing is off, rebalance_patient is unused,
-  /// and placement is the default.
+  /// Which shard (worker) serves a patient. For a patient the engine has
+  /// seen, this reads the route table, which never changes. For an unseen
+  /// patient it asks the placement policy prospectively — exact for
+  /// stateless policies (the default Fibonacci hash), a load-dependent guess
+  /// otherwise.
   std::size_t shard_of(int patient_id) const;
-
-  /// Explicitly re-home a patient onto `dest` (same hand-off protocol as a
-  /// steal, counted in SchedulerStats::steals/migrations). Asynchronous:
-  /// the victim migrates at its next batch boundary; fence with flush() for
-  /// a synchronous guarantee. Unknown patients are routed to `dest` for
-  /// when they first appear. No-op if the patient already lives on `dest`
-  /// or a migration is already pending. Throws std::invalid_argument on an
-  /// out-of-range shard. The deterministic lever the churn tests drive.
-  void rebalance_patient(int patient_id, std::size_t dest);
 
   std::size_t num_workers() const { return shards_.size(); }
 
@@ -217,29 +166,23 @@ class ShardedStreamClassifier final : public Engine {
   /// a flush; may lag mid-stream while workers are extracting).
   std::size_t rejected_windows() const { return rejected_.load(); }
 
-  /// Sample chunks evicted by the kDropOldest policy (or deadline shedding)
-  /// across all shards.
+  /// Sample chunks evicted by the kDropOldest policy across all shards.
   std::size_t dropped_chunks() const;
 
   /// Windows delivered (to the sink or the collection buffer) so far.
   std::size_t delivered_windows() const { return delivered_.load(); }
-
-  /// Scheduler counters: steals issued, migrations landed, chunks moved,
-  /// deadline actions. Monotonic except deadline_level (current state).
-  SchedulerStats scheduler_stats() const;
 
   /// Aggregate segment-cache counters (hits / misses / evictions of the
   /// incremental feature pipeline) summed over every shard's extractor.
   /// All zeros when the stream configuration is not stride-aligned.
   /// Quiescent read: fence with flush() first — the extractors are
   /// worker-owned, and the fence is what orders their counters with this
-  /// call (same contract as an exact shard_of()).
+  /// call.
   features::SegmentCacheStats cache_stats() const;
 
   /// Aggregate quality-gate counters summed over every shard's extractor.
   /// All zeros when the gate is off. Quiescent read like cache_stats():
-  /// fence with flush() first — gate state migrates with the patient, so
-  /// only a fence makes the per-shard sums coherent.
+  /// fence with flush() first.
   ecg::QualityStats quality_stats() const;
 
   /// Uniform counters (rt::Engine). windows_annotated/windows_suppressed
@@ -255,7 +198,7 @@ class ShardedStreamClassifier final : public Engine {
   /// each shard keeps a fixed-size reservoir of the most recent batches
   /// (kLatencyReservoir), so long-running engines report a recent-window
   /// percentile view at constant memory. Drives the continuous path's
-  /// p50/p99 tracking in bench/rt_throughput AND the deadline controller.
+  /// p50/p99 tracking in bench/rt_throughput.
   /// Snapshot is consistent mid-stream (per-shard mutex); for an exact
   /// account of everything pushed, fence with flush() first.
   std::vector<double> delivery_latencies_s() const;
@@ -279,8 +222,6 @@ class ShardedStreamClassifier final : public Engine {
     bool fence = false;
     bool evict = false;
     bool end_stream = false;
-    bool migrate = false;     ///< Migration token: victim hands patient to dest.
-    std::size_t dest = 0;     ///< Thief shard (migrate tokens only).
     std::chrono::steady_clock::time_point enqueued;  ///< For delivery latency.
   };
 
@@ -323,73 +264,25 @@ class ShardedStreamClassifier final : public Engine {
   /// should find a recycled buffer rather than a cold allocation.
   static constexpr std::size_t kSamplePoolCap = 64;
 
-  /// One patient's routing state. `issued` counts per-patient tasks routed
-  /// (data + end_stream + evict); `settled` counts those consumed by a
-  /// worker or evicted by backpressure. issued == settled means no task for
-  /// the patient is queued or executing — the migration cutoff invariant.
-  struct RouteEntry {
-    std::size_t shard = 0;
-    std::size_t issued = 0;
-    std::size_t settled = 0;
-    bool migrating = false;  ///< A migration token is pending for the patient.
-    /// Extraction state parked mid-migration: detached by the victim, owned
-    /// here until the new shard's worker lazily attaches it.
-    std::unique_ptr<WindowExtractor::DetachedPatient> parked;
-  };
-
   /// Per-shard bound on the delivery-latency reservoir: once full, the
   /// oldest samples are overwritten, so a long-running engine keeps a
   /// recent-window percentile view at fixed memory.
   static constexpr std::size_t kLatencyReservoir = 4096;
 
-  /// Idle-worker poll period: a worker whose queue is empty wakes this often
-  /// (stealing mode only — otherwise workers block) so a successful steal or
-  /// fresh work is picked up promptly.
-  static constexpr std::chrono::milliseconds kIdlePoll{1};
-
-  /// Steal-scan backoff cap, in idle polls. The steal scan is O(patients)
-  /// under route_mutex_ — the same lock the producer hot path takes — so a
-  /// mostly-idle worker must not run it every poll: after each failed scan
-  /// the polls between scans double (1, 2, 4, ...) up to this cap (~64 ms at
-  /// kIdlePoll), and any popped task or successful steal resets the cadence.
-  static constexpr std::size_t kMaxStealBackoffPolls = 64;
-
-  void worker_loop(std::size_t self, Shard& shard);
+  void worker_loop(Shard& shard);
   void classify_batch(int patient_id, std::span<const ExtractedWindow> windows, Shard& shard);
   void record_latency(Shard& shard, std::chrono::steady_clock::time_point enqueued);
   void deliver(std::span<const WindowResult> batch);
 
-  /// Producer side: find-or-create the patient's route (consulting the
-  /// placement policy on first sight), count the task as issued, and return
-  /// the shard to push to. The shard choice and the issued increment are
-  /// atomic under route_mutex_ — the invariant the migration cutoff relies
-  /// on.
+  /// Producer side: the patient's shard, consulting the placement policy
+  /// and recording the route on first sight.
   std::size_t route_for_push(int patient_id);
 
-  /// Worker side: drain the shard queue's eviction log and settle each
-  /// evicted task's patient. Called every loop iteration (and inside the
-  /// migration cutoff check). `locked` variant expects route_mutex_ held.
-  void settle_evicted(Shard& shard);
-  void settle_evicted_locked(Shard& shard);
-  void settle_patient_locked(int patient_id);
+  /// The shard of a patient the engine has already routed, if any.
+  std::optional<std::size_t> known_shard(int patient_id) const;
 
-  /// Worker side: attach the patient's parked extraction state if this
-  /// shard now owns a freshly migrated patient (lazy attach, before the
-  /// patient's next batch).
-  void ensure_attached(std::size_t self, Shard& shard, int patient_id);
-
-  /// Victim side: execute (or retry) a migration token at a batch boundary.
-  void handle_migration(std::size_t self, Shard& shard, const Task& token);
-
-  /// Thief side: scan the route table for the deepest-backlog patient on
-  /// another shard and post a migration token for it. Returns whether a
-  /// token was issued (drives the idle scan backoff).
-  bool maybe_steal(std::size_t self);
-
-  /// Deadline controller (runs on deadline_thread_ when
-  /// options_.deadline.target_p99_s > 0).
-  void deadline_loop();
-  void apply_deadline_level(int level);
+  /// Per-shard load snapshot for the placement policy (route_mutex_ held).
+  std::vector<ShardLoad> shard_loads_locked() const;
 
   std::shared_ptr<ModelRegistry> registry_;
   StreamConfig config_;
@@ -397,12 +290,18 @@ class ShardedStreamClassifier final : public Engine {
   std::shared_ptr<PlacementPolicy> placement_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Routing (route_mutex_ is the outermost lock: queue mutexes may be taken
-  // under it — via push/extract/size — but never the reverse).
+  // Routing (route_mutex_ is the outer lock: queue mutexes may be taken
+  // under it — via size() for the placement snapshot — never the reverse).
   mutable std::mutex route_mutex_;
-  std::unordered_map<int, RouteEntry> routes_;
-  std::vector<std::size_t> shard_patients_;  ///< Patients routed per shard.
-  bool fence_pending_ = false;  ///< A flush is fencing: migrations pause.
+  std::unordered_map<int, std::size_t> routes_;  ///< Patient -> shard.
+  std::vector<std::size_t> shard_patients_;      ///< Patients routed per shard.
+
+  // In-flight accounting for set_result_sink's misuse guard: producers count
+  // every per-patient task (data, end_stream, evict) before queueing it,
+  // workers count it after its results are delivered. Work is in flight
+  // unless issued == settled + the queues' dropped() total.
+  std::atomic<std::size_t> issued_{0};
+  std::atomic<std::size_t> settled_{0};
 
   // Continuous delivery (sink snapshotted per batch under sink_mutex_).
   std::mutex sink_mutex_;
@@ -420,21 +319,6 @@ class ShardedStreamClassifier final : public Engine {
   // First classification error since the last flush (guarded by error_mutex_).
   std::mutex error_mutex_;
   std::exception_ptr error_;
-
-  // Deadline controller.
-  std::thread deadline_thread_;
-  std::mutex deadline_mutex_;
-  std::condition_variable deadline_cv_;
-  bool deadline_stop_ = false;
-  std::atomic<std::size_t> stride_factor_{1};  ///< Workers apply per round.
-  std::atomic<int> deadline_level_{0};
-
-  // Scheduler counters.
-  std::atomic<std::size_t> steals_{0};
-  std::atomic<std::size_t> migrations_{0};
-  std::atomic<std::size_t> migrated_chunks_{0};
-  std::atomic<std::size_t> stride_widenings_{0};
-  std::atomic<std::size_t> shed_activations_{0};
 
   std::atomic<std::size_t> rejected_{0};
   std::atomic<std::size_t> delivered_{0};

@@ -74,7 +74,7 @@ class StreamClassifier final : public Engine {
   std::vector<WindowResult> flush() override;
 
   /// Uniform counters (rt::Engine). The single-threaded engine never drops
-  /// chunks and runs no scheduler, so those fields are always zero.
+  /// chunks, so dropped_chunks is always zero.
   EngineStats stats() const override {
     EngineStats s;
     s.delivered_windows = delivered_windows_;

@@ -67,7 +67,7 @@ void expect_lane_matches(const ecg::LaneQrsDetector& pack, std::size_t lane,
 }
 
 TEST(LaneQrs, EffectiveTierIsClampedToHost) {
-  EXPECT_LE(ecg::lane_effective_tier(), common::simd_tier_detected());
+  EXPECT_LE(common::simd_effective_tier(), common::simd_tier_detected());
   const char* name = ecg::lane_isa_name();
   ASSERT_NE(name, nullptr);
   EXPECT_TRUE(std::string_view(name) == "scalar" || std::string_view(name) == "sse2" ||

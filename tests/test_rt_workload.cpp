@@ -3,9 +3,7 @@
 // other — per-(patient, workload) results bit-identical to a
 // single-threaded reference at ANY worker count, (b) leave the
 // single-workload default bit-identical to a config that never mentions
-// workloads, and (c) keep workload routing and the quality gate's
-// migrating state coherent under forced patient churn (rebalance_patient
-// every round while streams are live).
+// workloads, and (c) resolve each workload's model independently.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "ecg/ecg_synth.hpp"
-#include "ecg/quality.hpp"
 #include "ecg/rr_model.hpp"
 #include "features/af_features.hpp"
 #include "features/extractor.hpp"
@@ -173,72 +170,6 @@ TEST(Workloads, MultiWorkloadShardedMatchesSingleThreadedReference) {
     expect_bit_identical(sharded.flush(), want,
                          workers == 1 ? "1 worker" : (workers == 2 ? "2 workers" : "8 workers"));
   }
-}
-
-TEST(Workloads, ForcedChurnKeepsRoutingAndQualityStatsCoherent) {
-  // Patients are re-homed across shards every interleaving round while a
-  // 2-workload stream with the quality gate runs; after the final fence the
-  // results AND the migrating gate counters must match the single-threaded
-  // reference exactly.
-  auto ward = make_ward();
-  // Dirty one patient so the gate has real state to migrate.
-  for (const double at_s : {13.0, 33.0}) {
-    auto& samples = ward[7].samples_mv;
-    const auto at = static_cast<std::size_t>(at_s * 250.0);
-    for (std::size_t i = 0; i < 40 && at + i < samples.size(); ++i) samples[at + i] = 9.0;
-  }
-  auto config = multi_config();
-  config.quality.enable = true;
-  config.quality.policy = ecg::QualityPolicy::kAnnotate;
-
-  rt::StreamClassifier reference(
-      std::vector<rt::ServableModel>{rt::synthetic_full_feature_model(),
-                                     rt::synthetic_af_model()},
-      config);
-  for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
-  const auto want = reference.flush();
-  const auto want_quality = reference.quality_stats();
-  ASSERT_GT(want_quality.artifact_spans, 0u);
-  ASSERT_GT(want_quality.windows_annotated, 0u);
-
-  rt::EngineOptions options;
-  options.num_workers = 4;
-  rt::ShardedStreamClassifier sharded(multi_registry(), config, options);
-  std::vector<rt::WindowResult> all;
-  std::map<int, std::size_t> offsets;
-  std::mt19937_64 rng(5);
-  bool any_left = true;
-  int round = 0;
-  while (any_left) {
-    any_left = false;
-    for (const auto& [pid, wf] : ward) {
-      std::size_t& off = offsets[pid];
-      if (off >= wf.samples_mv.size()) continue;
-      const std::size_t n = std::min<std::size_t>(997, wf.samples_mv.size() - off);
-      sharded.push_samples(pid, std::span(wf.samples_mv).subspan(off, n));
-      off += n;
-      if (off < wf.samples_mv.size()) any_left = true;
-    }
-    // Churn: every round, force one patient onto a random shard mid-stream.
-    const int victim = std::vector<int>{1, 2, 3, 7, 11}[static_cast<std::size_t>(round) % 5];
-    sharded.rebalance_patient(victim, rng() % options.num_workers);
-    ++round;
-    if (round % 3 == 0)
-      for (const auto& r : sharded.flush()) all.push_back(r);
-  }
-  for (const auto& r : sharded.flush()) all.push_back(r);
-  EXPECT_GT(sharded.scheduler_stats().migrations, 0u);
-
-  expect_bit_identical(all, want, "forced churn");
-  const auto got_quality = sharded.quality_stats();
-  EXPECT_EQ(got_quality.artifact_hits, want_quality.artifact_hits);
-  EXPECT_EQ(got_quality.artifact_spans, want_quality.artifact_spans);
-  EXPECT_EQ(got_quality.rejected_samples, want_quality.rejected_samples);
-  EXPECT_EQ(got_quality.rr_outliers, want_quality.rr_outliers);
-  EXPECT_EQ(got_quality.windows_annotated, want_quality.windows_annotated);
-  EXPECT_EQ(got_quality.windows_suppressed, want_quality.windows_suppressed);
-  // The watermark-maintained engine counters settled to the same totals.
-  EXPECT_EQ(sharded.stats().windows_annotated, want_quality.windows_annotated);
 }
 
 TEST(Workloads, PerWorkloadModelResolutionIsIndependent) {
