@@ -638,6 +638,7 @@ struct LaneRun {
   double wps = 0.0;
   std::size_t windows = 0;
   double vector_fraction = 0.0;  ///< Share of samples stepped in SIMD lockstep.
+  double occupancy = 0.0;        ///< Engaged share of the lockstep slots offered.
 };
 
 /// Extraction-only rate through WindowExtractor::push_batch with `patients`
@@ -680,9 +681,11 @@ LaneRun lane_extract_rate(const std::map<int, ecg::EcgWaveform>& ward, std::size
       }
       if (!chunks.empty()) extractor.push_batch(chunks, sink);
     }
-    const std::uint64_t vec = extractor.lane_vector_samples();
-    const std::uint64_t total = vec + extractor.lane_scalar_samples();
-    run.vector_fraction = total ? static_cast<double>(vec) / static_cast<double>(total) : 0.0;
+    const ecg::LaneStats lanes = extractor.lane_stats();
+    const std::uint64_t total = lanes.vector_samples + lanes.scalar_samples;
+    run.vector_fraction =
+        total ? static_cast<double>(lanes.vector_samples) / static_cast<double>(total) : 0.0;
+    run.occupancy = lanes.occupancy();
     g_sink_f = acc;
     return emitted;
   };
@@ -1004,11 +1007,12 @@ int main() {
     lane_runs[patients] = best_lane;
     scalar_runs[patients] = best_scalar;
     std::printf("  %zu patient%s: %10.1f windows/s lane, %10.1f scalar  (%.2fx, %4.1f%% lockstep"
-                " / %4.1f%% scalar tail)\n",
+                " / %4.1f%% scalar tail, %4.1f%% slot occupancy)\n",
                 patients, patients == 1 ? " " : "s", lane_runs[patients].wps,
                 scalar_runs[patients].wps, lane_runs[patients].wps / scalar_runs[patients].wps,
                 100.0 * lane_runs[patients].vector_fraction,
-                100.0 * (1.0 - lane_runs[patients].vector_fraction));
+                100.0 * (1.0 - lane_runs[patients].vector_fraction),
+                100.0 * lane_runs[patients].occupancy);
   }
   const double lane_speedup_4p = lane_runs[4].wps / scalar_runs[4].wps;
   const double lane_speedup_8p = lane_runs[8].wps / scalar_runs[8].wps;

@@ -1,6 +1,7 @@
 #include "ecg/lane_qrs.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #if defined(__SSE2__) || defined(_M_X64)
@@ -188,26 +189,63 @@ void LaneQrsDetector::take_peak(std::size_t lane, std::int64_t i, std::int64_t r
   state.have_peak = true;
 }
 
+std::uint64_t LaneQrsDetector::candidate_mask(const Ring& ring, std::int64_t i0,
+                                              std::size_t count) const {
+  // Contiguous runs of the ring (both neighbours inside the buffer) go
+  // through the pack's vector kernel; only the two wrap positions, physical
+  // slots 0 and mask, take the scalar compare with ring-indexed neighbours.
+  const double* buf = ring.buf.data();
+  std::uint64_t bits = 0;
+  std::size_t k = 0;
+  while (k < count) {
+    const std::int64_t i = i0 + static_cast<std::int64_t>(k);
+    const std::size_t p = static_cast<std::size_t>(i) & ring.mask;
+    if (p == 0 || p == ring.mask) {
+      const double cur = buf[p];
+      if (cur >= ring.at(i - 1) && cur > ring.at(i + 1)) bits |= std::uint64_t{1} << k;
+      ++k;
+      continue;
+    }
+    const std::size_t run = std::min(count - k, ring.mask - p);
+    std::uint64_t run_bits;
+    switch (tier_) {
+      case common::SimdTier::kAvx2:
+        run_bits = detail::local_max_mask_avx2(buf + p, run);
+        break;
+      case common::SimdTier::kSse2:
+        run_bits = detail::local_max_mask_sse2(buf + p, run);
+        break;
+      default:
+        run_bits = detail::local_max_mask_scalar(buf + p, run);
+    }
+    bits |= run_bits << k;
+    k += run;
+  }
+  return bits;
+}
+
 void LaneQrsDetector::replay_decisions(std::size_t lane, std::int64_t limit,
                                        std::int64_t raw_end) {
-  // Rolling scan from the decision cursor through `limit` (inclusive) over
-  // the frozen integrated ring: per sample the hot path is one ring load and
-  // two compares (carrying prev/cur across iterations), with the threshold
-  // test inlined on the sparse local maxima and the noise-level update kept
-  // in registers. Arithmetic and comparison order are exactly
-  // StreamingQrsDetector's per-sample decision.
+  // Decision catch-up from the cursor through `limit` (inclusive) over the
+  // frozen integrated ring. A sample can only change detector state if it
+  // is a local maximum (cur >= prev && cur > next), so each span of up to
+  // kMaskSpan samples is reduced to a candidate bitmask by the vector
+  // kernel, and the threshold test, noise-level update and take_peak run on
+  // the set bits in ascending order — exactly the samples, order and
+  // arithmetic of StreamingQrsDetector's per-sample decision.
   LaneState& state = lanes_[lane];
   if (state.cursor > limit) return;
-  const double* buf = state.integrated.buf.data();
-  const std::size_t mask = state.integrated.mask;
-  std::int64_t i = state.cursor;
-  double prev = buf[static_cast<std::size_t>(i - 1) & mask];
-  double cur = buf[static_cast<std::size_t>(i) & mask];
+  const Ring& integrated = state.integrated;
   double npki = state.npki;
   double spki = state.spki;
-  while (i <= limit) {
-    const double next = buf[static_cast<std::size_t>(i + 1) & mask];
-    if (cur >= prev && cur > next) {
+  for (std::int64_t i0 = state.cursor; i0 <= limit;
+       i0 += static_cast<std::int64_t>(detail::kMaskSpan)) {
+    const auto count = static_cast<std::size_t>(
+        std::min<std::int64_t>(static_cast<std::int64_t>(detail::kMaskSpan), limit - i0 + 1));
+    for (std::uint64_t bits = candidate_mask(integrated, i0, count); bits != 0;
+         bits &= bits - 1) {
+      const std::int64_t i = i0 + std::countr_zero(bits);
+      const double cur = integrated.at(i);
       const double threshold = npki + 0.25 * (spki - npki);
       if (cur > threshold &&
           (!state.have_peak ||
@@ -221,13 +259,10 @@ void LaneQrsDetector::replay_decisions(std::size_t lane, std::int64_t limit,
         npki = 0.125 * cur + 0.875 * npki;
       }
     }
-    prev = cur;
-    cur = next;
-    ++i;
   }
   state.npki = npki;
   state.spki = spki;
-  state.cursor = i;
+  state.cursor = limit + 1;
 }
 
 void LaneQrsDetector::after_block(std::size_t lane) {
@@ -280,7 +315,7 @@ void LaneQrsDetector::run_group(std::size_t base, std::size_t width,
       after_block(lane);
       ++cur[lane];
       --rem[lane];
-      ++scalar_samples_;
+      ++stats_.scalar_samples;
     }
   }
   for (;;) {
@@ -303,7 +338,7 @@ void LaneQrsDetector::run_group(std::size_t base, std::size_t width,
           after_block(lane);
           cur[lane] += take;
           rem[lane] -= take;
-          scalar_samples_ += take;
+          stats_.scalar_samples += take;
         }
       }
       return;
@@ -351,6 +386,7 @@ void LaneQrsDetector::run_group(std::size_t base, std::size_t width,
     } else {
       detail::lane_step_block_sse2(coeffs_, filt_, base, runs, m);
     }
+    stats_.vector_slots += m * width;
     for (std::size_t w = 0; w < width; ++w) {
       const std::size_t lane = base + w;
       if (protect[w]) {
@@ -374,7 +410,7 @@ void LaneQrsDetector::run_group(std::size_t base, std::size_t width,
         cur[lane] += m;
         rem[lane] -= m;
         after_block(lane);
-        vector_samples_ += m;
+        stats_.vector_samples += m;
       }
     }
   }
@@ -405,13 +441,38 @@ std::size_t LaneQrsDetector::resident_bytes() const {
   return bytes;
 }
 
-// --- SSE2 lockstep kernel ----------------------------------------------------
+// --- Scalar / SSE2 kernels ---------------------------------------------------
 // SSE2 is architectural baseline on x86-64, so this compiles in the plain
-// library TU with no extra flags; two patients per instruction.
+// library TU with no extra flags; two patients (or two candidate samples)
+// per instruction.
 
 namespace detail {
 
+std::uint64_t local_max_mask_scalar(const double* p, std::size_t count) {
+  SVT_ASSERT(count <= kMaskSpan);
+  std::uint64_t bits = 0;
+  for (std::size_t k = 0; k < count; ++k)
+    bits |= static_cast<std::uint64_t>((p[k] >= p[k - 1]) & (p[k] > p[k + 1])) << k;
+  return bits;
+}
+
 #if defined(__SSE2__) || defined(_M_X64)
+
+std::uint64_t local_max_mask_sse2(const double* p, std::size_t count) {
+  SVT_ASSERT(count <= kMaskSpan);
+  // cmpge/cmpgt are the ordered (LE_OS/LT_OS, operands swapped) predicates:
+  // false whenever either side is NaN, like the scalar operators.
+  std::uint64_t bits = 0;
+  std::size_t k = 0;
+  for (; k + 2 <= count; k += 2) {
+    const __m128d cur = _mm_loadu_pd(p + k);
+    const __m128d ge = _mm_cmpge_pd(cur, _mm_loadu_pd(p + k - 1));
+    const __m128d gt = _mm_cmpgt_pd(cur, _mm_loadu_pd(p + k + 1));
+    bits |= static_cast<std::uint64_t>(_mm_movemask_pd(_mm_and_pd(ge, gt))) << k;
+  }
+  if (k < count) bits |= local_max_mask_scalar(p + k, count - k) << k;
+  return bits;
+}
 
 void lane_step_block_sse2(const LaneCoeffs& c, LaneFilterState& s, std::size_t base,
                           LaneRun* runs, std::size_t steps) {
@@ -599,6 +660,10 @@ void lane_step_block_sse2(const LaneCoeffs& c, LaneFilterState& s, std::size_t b
 }
 
 #else
+
+std::uint64_t local_max_mask_sse2(const double* p, std::size_t count) {
+  return local_max_mask_scalar(p, count);
+}
 
 void lane_step_block_sse2(const LaneCoeffs&, LaneFilterState&, std::size_t, LaneRun*,
                           std::size_t) {

@@ -14,7 +14,10 @@
 // tier (asserted by tests/test_lane_qrs.cpp). Divergent control flow
 // (threshold learning, peak confirmation, refractory, dedup) runs per lane:
 // samples are ingested in lockstep blocks of <= kStepBlock, then each lane
-// replays its decision catch-up scalar. Deferring decisions by a bounded
+// replays its decision catch-up as a candidate-mask scan — a vector compare
+// marks the local maxima of the integrated signal (under 5% of samples on
+// ECG) in a 64-bit mask per span, and the threshold logic runs on the set
+// bits only, in ascending order. Deferring decisions by a bounded
 // block is exact because decisions never feed back into the filter chain and
 // the raw-search clamp min(raw_end, i + win/4) is unaffected by a later
 // raw_end (the decision lag is exactly win/4); the history rings carry
@@ -25,8 +28,8 @@
 // lanes' results; a freed slot keeps its ring allocations pooled for the
 // next occupant, bounding resident memory by the pack width, not by patient
 // churn. Ragged input (lanes with different chunk lengths, idle lanes,
-// fresh lanes) falls back to the scalar per-lane step; vector_samples() /
-// scalar_samples() expose how much of the traffic ran in lockstep.
+// fresh lanes) falls back to the scalar per-lane step; stats() exposes how
+// much of the traffic ran in lockstep and how full the lockstep groups were.
 //
 // Dispatch: the tier is chosen at construction from runtime cpuid (AVX2 ->
 // SSE2 -> scalar; see common/simd_dispatch.hpp), clamped to what this build
@@ -49,6 +52,30 @@ namespace svt::ecg {
 /// Name of the tier the lane engine runs at,
 /// simd_tier_name(common::simd_effective_tier()): "scalar", "sse2" or "avx2".
 const char* lane_isa_name();
+
+/// Lane-engine traffic, summed over lanes. Lane-samples split into those
+/// stepped in SIMD lockstep and those stepped by the scalar fallback;
+/// vector_slots counts the lane slots the lockstep steps offered (steps x
+/// group width), so vector_samples / vector_slots is how full the vector
+/// groups ran.
+struct LaneStats {
+  std::uint64_t vector_samples = 0;
+  std::uint64_t scalar_samples = 0;
+  std::uint64_t vector_slots = 0;
+
+  /// Engaged share of the offered lockstep slots (0 with no lockstep step).
+  double occupancy() const {
+    return vector_slots == 0 ? 0.0
+                             : static_cast<double>(vector_samples) /
+                                   static_cast<double>(vector_slots);
+  }
+  LaneStats& operator+=(const LaneStats& other) {
+    vector_samples += other.vector_samples;
+    scalar_samples += other.scalar_samples;
+    vector_slots += other.vector_slots;
+    return *this;
+  }
+};
 
 /// A pack of up to kMaxLanes same-rate patient streams stepped in SIMD
 /// lockstep, each lane bit-identical to a StreamingQrsDetector.
@@ -107,8 +134,10 @@ class LaneQrsDetector {
 
   /// Samples stepped in vector lockstep / by the scalar fallback, summed
   /// over all lanes. scalar/(scalar+vector) is the scalar-tail fraction.
-  std::uint64_t vector_samples() const { return vector_samples_; }
-  std::uint64_t scalar_samples() const { return scalar_samples_; }
+  std::uint64_t vector_samples() const { return stats_.vector_samples; }
+  std::uint64_t scalar_samples() const { return stats_.scalar_samples; }
+  /// Both of the above plus the lockstep slots offered (see LaneStats).
+  const LaneStats& stats() const { return stats_; }
 
   /// Ring + beat storage currently resident across all lane slots
   /// (including pooled storage of freed slots) — bounded by kMaxLanes times
@@ -151,6 +180,8 @@ class LaneQrsDetector {
   void step_scalar(std::size_t lane, const double* x, std::size_t count);
   void after_block(std::size_t lane);
   void learn_thresholds(std::size_t lane, std::int64_t learning);
+  /// Local-maximum bits for ring indices [i0, i0 + count), count <= 64.
+  std::uint64_t candidate_mask(const Ring& ring, std::int64_t i0, std::size_t count) const;
   void replay_decisions(std::size_t lane, std::int64_t limit, std::int64_t raw_end);
   void take_peak(std::size_t lane, std::int64_t i, std::int64_t raw_end, double peak);
   void run_group(std::size_t base, std::size_t width, std::array<const double*, kMaxLanes>& cur,
@@ -167,8 +198,7 @@ class LaneQrsDetector {
 
   std::array<LaneState, kMaxLanes> lanes_;
   std::size_t active_count_ = 0;
-  std::uint64_t vector_samples_ = 0;
-  std::uint64_t scalar_samples_ = 0;
+  LaneStats stats_;
 };
 
 }  // namespace svt::ecg

@@ -1,4 +1,5 @@
-// AVX2 lockstep kernel for the lane engine: 4 patients per instruction.
+// AVX2 kernels for the lane engine: the lockstep chain step (4 patients per
+// instruction) and the R-peak candidate mask (4 samples per compare).
 //
 // This translation unit is compiled with -mavx2 -ffp-contract=off whenever
 // the toolchain accepts those flags (see CMakeLists.txt); the kernel is only
@@ -225,11 +226,30 @@ void lane_step_block_avx2(const LaneCoeffs& c, LaneFilterState& s, std::size_t b
     if (runs[w].engaged) runs[w].n = n[w];
 }
 
+std::uint64_t local_max_mask_avx2(const double* p, std::size_t count) {
+  SVT_ASSERT(count <= kMaskSpan);
+  std::uint64_t bits = 0;
+  std::size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    const __m256d cur = _mm256_loadu_pd(p + k);
+    const __m256d ge = _mm256_cmp_pd(cur, _mm256_loadu_pd(p + k - 1), _CMP_GE_OQ);
+    const __m256d gt = _mm256_cmp_pd(cur, _mm256_loadu_pd(p + k + 1), _CMP_GT_OQ);
+    bits |= static_cast<std::uint64_t>(_mm256_movemask_pd(_mm256_and_pd(ge, gt))) << k;
+  }
+  if (k < count) bits |= local_max_mask_scalar(p + k, count - k) << k;
+  return bits;
+}
+
 #else  // !__AVX2__: the engine clamps to SSE2, so this is never reached.
 
 void lane_step_block_avx2(const LaneCoeffs&, LaneFilterState&, std::size_t, LaneRun*,
                           std::size_t) {
   SVT_ASSERT(false && "lane_step_block_avx2 called without AVX2 code compiled in");
+}
+
+std::uint64_t local_max_mask_avx2(const double*, std::size_t) {
+  SVT_ASSERT(false && "local_max_mask_avx2 called without AVX2 code compiled in");
+  return 0;
 }
 
 #endif

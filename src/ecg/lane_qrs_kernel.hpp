@@ -14,7 +14,8 @@
 // stream positions, so ring traffic is scalar — the ~20 FLOPs of chain
 // arithmetic per sample are what vectorise). Divergent control flow
 // (threshold learning, peak confirmation, dedup) never runs here: the
-// caller defers it and replays it per lane after each block.
+// caller defers it and replays it per lane after each block, visiting only
+// the local maxima the candidate-mask kernels below find.
 #pragma once
 
 #include <cstddef>
@@ -78,5 +79,17 @@ void lane_step_block_sse2(const LaneCoeffs& c, LaneFilterState& s, std::size_t b
                           LaneRun* runs, std::size_t steps);
 void lane_step_block_avx2(const LaneCoeffs& c, LaneFilterState& s, std::size_t base,
                           LaneRun* runs, std::size_t steps);
+
+/// Widest span one candidate mask covers (one bit per sample).
+inline constexpr std::size_t kMaskSpan = 64;
+
+// R-peak candidate mask over `count` (<= kMaskSpan) contiguous integrated
+// values p[0..count): bit k is set iff p[k] >= p[k-1] && p[k] > p[k+1], so
+// p[-1] and p[count] are read too. The vector kernels use ordered
+// predicates (a NaN on either side clears the bit), exactly the scalar
+// operators' result, so every tier yields the same mask.
+std::uint64_t local_max_mask_scalar(const double* p, std::size_t count);
+std::uint64_t local_max_mask_sse2(const double* p, std::size_t count);
+std::uint64_t local_max_mask_avx2(const double* p, std::size_t count);
 
 }  // namespace svt::ecg::detail

@@ -1,8 +1,9 @@
 // Pluggable patient placement for the sharded serving engine.
 //
 // A PlacementPolicy answers one question — which shard should own a patient
-// — and is consulted exactly once per patient, when the engine first sees
-// the id; the patient stays on that shard for the engine's lifetime. The
+// — and is consulted once per stream, when the engine first sees the id or
+// the first push after its stream ended; the patient stays on that shard
+// while the stream lives. The
 // engine passes a snapshot of per-shard load so policies can be load-aware;
 // the default FibonacciPlacement ignores it and hashes the id, which keeps
 // placement a pure function of (id, shard count) — the historical
@@ -27,7 +28,7 @@ namespace svt::rt {
 /// One shard's load snapshot at placement time.
 struct ShardLoad {
   std::size_t queued = 0;    ///< Tasks waiting in the shard's queue.
-  std::size_t patients = 0;  ///< Patients currently routed to the shard.
+  std::size_t patients = 0;  ///< Live streams on the shard (not yet ended/evicted).
 };
 
 class PlacementPolicy {

@@ -4,7 +4,10 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <utility>
+
+#include "common/assert.hpp"
 
 namespace svt::rt {
 
@@ -56,30 +59,49 @@ std::vector<ShardLoad> ShardedStreamClassifier::shard_loads_locked() const {
   return loads;
 }
 
-std::optional<std::size_t> ShardedStreamClassifier::known_shard(int patient_id) const {
-  const std::lock_guard<std::mutex> lock(route_mutex_);
-  const auto it = routes_.find(patient_id);
-  if (it == routes_.end()) return std::nullopt;
-  return it->second;
-}
-
 std::size_t ShardedStreamClassifier::shard_of(int patient_id) const {
   const std::lock_guard<std::mutex> lock(route_mutex_);
   const auto it = routes_.find(patient_id);
-  if (it != routes_.end()) return it->second;
-  // Unseen patient: ask the policy prospectively without creating a route
+  if (it != routes_.end()) return it->second.shard;
+  // Unrouted patient: ask the policy prospectively without creating a route
   // (exact for stateless policies; a load-dependent guess otherwise).
   return placement_->place(patient_id, shard_loads_locked()) % shards_.size();
 }
 
 std::size_t ShardedStreamClassifier::route_for_push(int patient_id) {
   const std::lock_guard<std::mutex> lock(route_mutex_);
-  auto [it, inserted] = routes_.try_emplace(patient_id);
-  if (inserted) {
-    it->second = placement_->place(patient_id, shard_loads_locked()) % shards_.size();
-    ++shard_patients_[it->second];
+  auto it = routes_.find(patient_id);
+  if (it == routes_.end()) {
+    const std::size_t shard =
+        placement_->place(patient_id, shard_loads_locked()) % shards_.size();
+    it = routes_.emplace(patient_id, Route{shard}).first;
   }
-  return it->second;
+  Route& route = it->second;
+  if (!route.live) {
+    route.live = true;
+    ++shard_patients_[route.shard];
+  }
+  return route.shard;
+}
+
+std::optional<std::size_t> ShardedStreamClassifier::end_route(int patient_id) {
+  const std::lock_guard<std::mutex> lock(route_mutex_);
+  const auto it = routes_.find(patient_id);
+  if (it == routes_.end() || !it->second.live) return std::nullopt;
+  Route& route = it->second;
+  route.live = false;
+  --shard_patients_[route.shard];
+  ++route.pending_controls;
+  return route.shard;
+}
+
+void ShardedStreamClassifier::settle_route(int patient_id) {
+  const std::lock_guard<std::mutex> lock(route_mutex_);
+  const auto it = routes_.find(patient_id);
+  SVT_ASSERT(it != routes_.end() && it->second.pending_controls > 0);
+  // A push since the control task revived the route; otherwise the worker
+  // has dropped the patient's state and the next push places it afresh.
+  if (--it->second.pending_controls == 0 && !it->second.live) routes_.erase(it);
 }
 
 void ShardedStreamClassifier::push_samples(int patient_id,
@@ -105,9 +127,10 @@ void ShardedStreamClassifier::push_samples(int patient_id,
 }
 
 void ShardedStreamClassifier::evict_patient(int patient_id) {
-  // An unseen patient has no state anywhere; routing it would consult the
-  // placement policy and pin a route for a patient that may never stream.
-  const auto shard = known_shard(patient_id);
+  // A patient with no live stream has no state left to drop (or its
+  // end/evict is already queued); routing it would consult the placement
+  // policy and pin a route for a patient that may never stream.
+  const auto shard = end_route(patient_id);
   if (!shard) return;
   Task task;
   task.patient_id = patient_id;
@@ -119,8 +142,8 @@ void ShardedStreamClassifier::evict_patient(int patient_id) {
 }
 
 bool ShardedStreamClassifier::end_stream(int patient_id) {
-  const auto shard = known_shard(patient_id);
-  if (!shard) return false;  // Never streamed: nothing to end (see evict_patient).
+  const auto shard = end_route(patient_id);
+  if (!shard) return false;  // No live stream: nothing to end (see evict_patient).
   Task task;
   task.patient_id = patient_id;
   task.end_stream = true;
@@ -140,6 +163,12 @@ std::size_t ShardedStreamClassifier::dropped_chunks() const {
 features::SegmentCacheStats ShardedStreamClassifier::cache_stats() const {
   features::SegmentCacheStats total;
   for (const auto& shard : shards_) total += shard->extractor.cache_stats();
+  return total;
+}
+
+ecg::LaneStats ShardedStreamClassifier::lane_stats() const {
+  ecg::LaneStats total;
+  for (const auto& shard : shards_) total += shard->extractor.lane_stats();
   return total;
 }
 
@@ -176,6 +205,7 @@ void ShardedStreamClassifier::record_latency(Shard& shard,
 void ShardedStreamClassifier::worker_loop(Shard& shard) {
   std::vector<ExtractedWindow> windows;
   std::vector<Task> round;
+  std::unordered_set<int> round_ids;  ///< Patients in the current round.
   std::vector<WindowExtractor::PatientChunk> chunks;
   std::optional<Task> pending;  ///< Popped while coalescing, deferred.
   const auto collect = [&windows](ExtractedWindow&& window) {
@@ -222,6 +252,7 @@ void ShardedStreamClassifier::worker_loop(Shard& shard) {
     }
     if (task->evict) {
       shard.extractor.erase_patient(task->patient_id);
+      settle_route(task->patient_id);
       ++settled_;
       continue;
     }
@@ -237,25 +268,25 @@ void ShardedStreamClassifier::worker_loop(Shard& shard) {
           note_error();
         }
       }
+      settle_route(task->patient_id);
       ++settled_;
       continue;
     }
 
-    // Sample chunk: coalesce whatever other patients' chunks are already
-    // queued (up to the lane-pack width) so the extractor steps the round in
-    // SIMD lockstep. A control task — or a second chunk for a patient
-    // already in the round — ends the round and carries into the next
-    // iteration, preserving per-patient stream order and fence ordering.
+    // Sample chunk: coalesce every other patient's chunk already queued so
+    // the extractor steps the round in SIMD lockstep. A control task — or a
+    // second chunk for a patient already in the round — ends the round and
+    // carries into the next iteration, preserving per-patient stream order
+    // and fence ordering. There is no width cap: a backlogged shard fed
+    // round-robin hands over one chunk per live patient, which fills every
+    // vector group of every pack.
     round.clear();
+    round_ids.clear();
+    round_ids.insert(task->patient_id);
     round.push_back(std::move(*task));
-    while (round.size() < ecg::LaneQrsDetector::kMaxLanes) {
-      auto next = shard.tasks.try_pop();
-      if (!next) break;
+    while (auto next = shard.tasks.try_pop()) {
       const bool control = next->fence || next->evict || next->end_stream;
-      const bool duplicate =
-          std::any_of(round.begin(), round.end(),
-                      [&](const Task& t) { return t.patient_id == next->patient_id; });
-      if (control || duplicate) {
+      if (control || !round_ids.insert(next->patient_id).second) {
         pending = std::move(next);
         break;
       }

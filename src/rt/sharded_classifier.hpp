@@ -9,24 +9,31 @@
 //        │ route table (placement policy on first sight)
 //        ▼                       ┌────────────────────────────────────────┐
 //   ┌─────────────┐ coalesced    │ WindowExtractor (lane packs: queued    │
-//   │ bounded     │ round of     │  patients' chunks step SIMD lockstep)  │
-//   │ shard queue │ ≤8 patients' │  -> registry snapshot (per batch)      │
-//   │ (x N)       │ chunks       │  -> prepare + packed batch kernel      │
+//   │ bounded     │ round: ≤1    │  patients' chunks step SIMD lockstep)  │
+//   │ shard queue │ chunk per    │  -> registry snapshot (per batch)      │
+//   │ (x N)       │ patient      │  -> prepare + packed batch kernel      │
 //   └─────────────┘  block/drop  │  -> ResultSink(batch)   ──────────────────> results
 //                                └────────────────────────────────────────┘
 //
 // Placement: a patient's home shard is decided by the pluggable
-// rt::PlacementPolicy exactly once, when the engine first pushes samples
-// for the id; the decision is cached in the route table and never changes.
+// rt::PlacementPolicy once per stream, when the engine first pushes samples
+// for the id; the decision is cached in the route table and holds while the
+// stream lives. end_stream / evict_patient retire the patient from its
+// shard's live count at once, and drop the route when the worker has
+// processed the control task — a push that arrives before then stays on
+// the same shard, behind the control task; a later one is placed afresh.
 // The default FibonacciPlacement reproduces the engine's historical static
 // hash; LeastLoadedPlacement spreads wards whose ids collide under it.
 //
-// Lane coalescing: after popping one chunk, a worker drains whatever other
-// patients' chunks are already queued (up to the lane-pack width) and
-// extracts the round through WindowExtractor::push_batch, so a backlogged
-// shard steps several patients' identical filter chains per instruction.
-// Coalescing never reorders: a second chunk for a patient already in the
-// round — or any control task — ends the round and is processed after it.
+// Rounds: after popping one chunk, a worker drains every other patient's
+// chunk already queued and extracts the round through
+// WindowExtractor::push_batch, so a backlogged shard steps its patients'
+// identical filter chains per instruction. A round ends at the first
+// control task or at a second chunk for a patient already in it (which
+// starts the next round), so it never reorders and holds at most one chunk
+// per live patient of the shard: a shard fed round-robin runs whole-shard
+// rounds, and every vector group of every lane pack steps full.
+// lane_stats() reports how full they ran.
 //
 // Continuous delivery: every chunk that completes windows is classified
 // immediately on the shard's worker (per-patient batch affinity) and handed
@@ -141,21 +148,24 @@ class ShardedStreamClassifier final : public Engine {
   /// back (see WindowExtractor::end_patient), and drops the patient's
   /// stream state. Asynchronous like push_samples: fence with flush() to
   /// wait for the tail delivery. Returns false, and does nothing, for a
-  /// patient the engine has never been pushed samples for; true otherwise
-  /// (whether the worker still holds state is only known asynchronously).
+  /// patient with no live stream — never pushed samples, or not pushed
+  /// since its last end_stream / evict_patient — like StreamClassifier.
+  /// Must not race a push_samples for the same patient on another thread:
+  /// a push that returned before this call is ended by it, one that starts
+  /// after it opens a new stream.
   bool end_stream(int patient_id) override;
 
   /// Drop a patient's extraction state (detector, beat ring, window phase)
   /// on their shard. Asynchronous: takes effect after chunks already queued
   /// for the shard; fence with flush() for a synchronous guarantee. Frees
-  /// memory for patients that left the ward — the registry entry (and the
-  /// patient's route) are untouched. A no-op for a patient the engine has
-  /// never been pushed samples for.
+  /// memory for patients that left the ward; the registry entry is
+  /// untouched, and the route goes like end_stream's. A no-op for a patient
+  /// with no live stream (same rule and threading contract as end_stream).
   void evict_patient(int patient_id);
 
-  /// Which shard (worker) serves a patient. For a patient the engine has
-  /// seen, this reads the route table, which never changes. For an unseen
-  /// patient it asks the placement policy prospectively — exact for
+  /// Which shard (worker) serves a patient. For a routed patient (a live
+  /// stream, or one whose end is still queued) this reads the route table.
+  /// Otherwise it asks the placement policy prospectively — exact for
   /// stateless policies (the default Fibonacci hash), a load-dependent guess
   /// otherwise.
   std::size_t shard_of(int patient_id) const;
@@ -179,6 +189,12 @@ class ShardedStreamClassifier final : public Engine {
   /// worker-owned, and the fence is what orders their counters with this
   /// call.
   features::SegmentCacheStats cache_stats() const;
+
+  /// Aggregate lane-engine traffic summed over every shard's extractor:
+  /// LaneStats::occupancy() is the share of offered SIMD lockstep slots
+  /// that carried a patient sample. Quiescent read like cache_stats():
+  /// fence with flush() first.
+  ecg::LaneStats lane_stats() const;
 
   /// Aggregate quality-gate counters summed over every shard's extractor.
   /// All zeros when the gate is off. Quiescent read like cache_stats():
@@ -275,11 +291,18 @@ class ShardedStreamClassifier final : public Engine {
   void deliver(std::span<const WindowResult> batch);
 
   /// Producer side: the patient's shard, consulting the placement policy
-  /// and recording the route on first sight.
+  /// and recording the route when the patient has none; counts the patient
+  /// live.
   std::size_t route_for_push(int patient_id);
 
-  /// The shard of a patient the engine has already routed, if any.
-  std::optional<std::size_t> known_shard(int patient_id) const;
+  /// Producer side of end_stream / evict_patient: retire a live patient
+  /// from its shard's count and note one more queued control task. Returns
+  /// the shard to send it to, or nullopt when the patient is not live.
+  std::optional<std::size_t> end_route(int patient_id);
+
+  /// Worker side, after processing an end/evict task: drop the route once
+  /// no control task is queued and no push revived the patient.
+  void settle_route(int patient_id);
 
   /// Per-shard load snapshot for the placement policy (route_mutex_ held).
   std::vector<ShardLoad> shard_loads_locked() const;
@@ -290,11 +313,17 @@ class ShardedStreamClassifier final : public Engine {
   std::shared_ptr<PlacementPolicy> placement_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
+  struct Route {
+    std::size_t shard = 0;
+    bool live = false;  ///< Pushed since its last end/evict; counted per shard.
+    std::size_t pending_controls = 0;  ///< End/evict tasks not yet processed.
+  };
+
   // Routing (route_mutex_ is the outer lock: queue mutexes may be taken
   // under it — via size() for the placement snapshot — never the reverse).
   mutable std::mutex route_mutex_;
-  std::unordered_map<int, std::size_t> routes_;  ///< Patient -> shard.
-  std::vector<std::size_t> shard_patients_;      ///< Patients routed per shard.
+  std::unordered_map<int, Route> routes_;    ///< Live or ending patients.
+  std::vector<std::size_t> shard_patients_;  ///< Live patients per shard.
 
   // In-flight accounting for set_result_sink's misuse guard: producers count
   // every per-patient task (data, end_stream, evict) before queueing it,

@@ -124,40 +124,38 @@ void WindowExtractor::release_patient(PatientState& state) {
     // Last occupant gone: fold the pack's occupancy counters into the
     // retired totals and release its ring storage outright, so resident
     // memory tracks live patients rather than historical churn.
-    retired_vector_samples_ += pack.detector.vector_samples();
-    retired_scalar_samples_ += pack.detector.scalar_samples();
+    retired_lane_stats_ += pack.detector.stats();
     packs_[state.pack].reset();
   }
 }
 
 void WindowExtractor::push_batch(std::span<const PatientChunk> chunks, const WindowSink& sink) {
-  for (const auto& chunk : chunks) find_or_create(chunk.patient_id);
+  // One patient lookup per chunk (map nodes are stable, so the pointers
+  // survive later insertions), then one bucket per pack: a round may hold a
+  // whole shard's patients, so grouping must stay linear in the round.
+  round_states_.clear();
+  for (const auto& chunk : chunks) round_states_.push_back(&find_or_create(chunk.patient_id));
+  if (pack_rounds_.size() < packs_.size()) pack_rounds_.resize(packs_.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const PatientState& state = *round_states_[i];
+    pack_rounds_[state.pack].push_back({state.lane, chunks[i].samples_mv});
+  }
 
   // Step each involved pack once, with every one of its patients' chunks in
   // lockstep. Patient ids must be distinct within one batch (the lane
   // engine asserts one chunk per lane).
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const std::size_t pack_idx = patients_.find(chunks[i].patient_id)->second.pack;
-    bool first_for_pack = true;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (patients_.find(chunks[j].patient_id)->second.pack == pack_idx) {
-        first_for_pack = false;
-        break;
-      }
-    }
-    if (!first_for_pack) continue;
-    lane_chunks_.clear();
-    for (std::size_t j = i; j < chunks.size(); ++j) {
-      const PatientState& state = patients_.find(chunks[j].patient_id)->second;
-      if (state.pack == pack_idx) lane_chunks_.push_back({state.lane, chunks[j].samples_mv});
-    }
-    packs_[pack_idx]->detector.push(lane_chunks_);
+  for (std::size_t pack_idx = 0; pack_idx < packs_.size(); ++pack_idx) {
+    auto& lane_chunks = pack_rounds_[pack_idx];
+    if (lane_chunks.empty()) continue;
+    packs_[pack_idx]->detector.push(lane_chunks);
+    lane_chunks.clear();
   }
 
   // Emission runs per patient in chunk order, so each patient's windows
   // arrive contiguously and in stream order.
-  for (const auto& chunk : chunks) {
-    PatientState& state = patients_.find(chunk.patient_id)->second;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const PatientChunk& chunk = chunks[i];
+    PatientState& state = *round_states_[i];
     // Quality gate: scan the raw chunk at its absolute stream offset. The
     // scan is per-sample sequential state only, so the resulting spans are
     // independent of chunk boundaries (and of which shard runs the stream).
@@ -347,17 +345,10 @@ std::size_t WindowExtractor::buffered_samples(int patient_id) const {
                                : static_cast<std::size_t>(it->second.pushed - it->second.consumed);
 }
 
-std::uint64_t WindowExtractor::lane_vector_samples() const {
-  std::uint64_t total = retired_vector_samples_;
+ecg::LaneStats WindowExtractor::lane_stats() const {
+  ecg::LaneStats total = retired_lane_stats_;
   for (const auto& pack : packs_)
-    if (pack) total += pack->detector.vector_samples();
-  return total;
-}
-
-std::uint64_t WindowExtractor::lane_scalar_samples() const {
-  std::uint64_t total = retired_scalar_samples_;
-  for (const auto& pack : packs_)
-    if (pack) total += pack->detector.scalar_samples();
+    if (pack) total += pack->detector.stats();
   return total;
 }
 

@@ -126,12 +126,15 @@ class WindowExtractor {
   /// sampling rate too low for the QRS band-pass (fs_hz <= 30).
   explicit WindowExtractor(StreamConfig config = {});
 
-  /// Ingest one chunk per patient — the lane-parallel hot path. Patients
-  /// sharing a pack are stepped in SIMD lockstep; patient ids must be
-  /// distinct within one call. `sink` fires for every window whose beats
-  /// have become final, grouped per patient in chunk order. A first chunk
-  /// creates the patient's stream (claiming a lane in the first pack with a
-  /// free slot).
+  /// Ingest one chunk per patient — the lane-parallel hot path. A call is
+  /// one lockstep round: each involved pack is stepped once, with all of its
+  /// patients' chunks in SIMD lockstep, so the vector groups run full only
+  /// when the round carries every patient of a pack (the sharded engine
+  /// hands it everything its queue holds). Patient ids must be distinct
+  /// within one call; grouping is linear in the round size. `sink` fires
+  /// for every window whose beats have become final, grouped per patient in
+  /// chunk order. A first chunk creates the patient's stream (claiming a
+  /// lane in the first pack with a free slot).
   void push_batch(std::span<const PatientChunk> chunks, const WindowSink& sink);
 
   /// Single-patient convenience: exactly push_batch of one chunk.
@@ -195,11 +198,11 @@ class WindowExtractor {
   std::size_t stride_samples() const { return stride_samples_; }
   const StreamConfig& config() const { return config_; }
 
-  /// Detector samples stepped in SIMD lockstep / by the scalar per-lane
-  /// fallback, summed over live and retired packs. The vector fraction is
-  /// the lane-occupancy figure reported by the throughput bench.
-  std::uint64_t lane_vector_samples() const;
-  std::uint64_t lane_scalar_samples() const;
+  /// Lane-engine traffic summed over live and retired packs: detector
+  /// samples stepped in SIMD lockstep / by the scalar per-lane fallback, and
+  /// the lockstep slots offered (LaneStats::occupancy() is how full the
+  /// vector groups ran).
+  ecg::LaneStats lane_stats() const;
 
   /// Dispatch tier the lane packs run at: "scalar", "sse2" or "avx2".
   const char* lane_isa() const;
@@ -252,8 +255,7 @@ class WindowExtractor {
   std::size_t rejected_ = 0;
   std::size_t annotated_ = 0;   ///< Windows emitted with non-zero quality flags.
   std::size_t suppressed_ = 0;  ///< Windows withheld by the suppress policy.
-  std::uint64_t retired_vector_samples_ = 0;  ///< From released packs.
-  std::uint64_t retired_scalar_samples_ = 0;
+  ecg::LaneStats retired_lane_stats_;  ///< From released packs.
   /// Segment-cache geometry when the configuration is stride-aligned;
   /// nullopt selects the legacy whole-window emit path.
   std::optional<features::SegmentFeatureCache::Layout> cache_layout_;
@@ -269,7 +271,9 @@ class WindowExtractor {
   ecg::RespirationSeries edr_scratch_;
   std::vector<double> beat_times_;  ///< Window-relative beat times.
   std::vector<double> beat_amps_;
-  std::vector<ecg::LaneQrsDetector::LaneChunk> lane_chunks_;  ///< push_batch scratch.
+  // push_batch scratch: each chunk's patient, and each pack's lane chunks.
+  std::vector<PatientState*> round_states_;
+  std::vector<std::vector<ecg::LaneQrsDetector::LaneChunk>> pack_rounds_;
 };
 
 }  // namespace svt::rt

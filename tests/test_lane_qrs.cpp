@@ -8,7 +8,10 @@
 // promises bit-identity, not closeness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <span>
 #include <vector>
@@ -225,6 +228,83 @@ TEST(LaneQrs, PushOneChunkingInvariant) {
   }
 }
 
+// Edge-case leads for the candidate-mask scan: each defeats a shortcut the
+// vector compare could take and the scalar `cur >= prev && cur > next`
+// does not.
+std::vector<std::vector<double>> scan_edge_leads() {
+  const auto ecg = synth_ecg(12.0, 4242).samples_mv;
+  const std::size_t n = ecg.size();
+  std::vector<std::vector<double>> leads;
+  // A disconnected lead at exactly 0 mV: the integrated signal is one long
+  // plateau, where `>=` holds and `>` never does.
+  leads.emplace_back(n, 0.0);
+  // Flat for 4 s, then the lead connects: plateau into signal.
+  leads.push_back(ecg);
+  std::fill_n(leads.back().begin(), 1000, 0.0);
+  // Scaled so the squared slope lands on the subnormal grid: the integrated
+  // signal is a small multiple of the smallest subnormal, full of exact
+  // plateaus that end in a drop (candidates only `>=` admits).
+  leads.push_back(ecg);
+  for (double& x : leads.back()) x *= 3e-162;
+  // A NaN and a +Inf sample mid-stream (the chain carries them onward).
+  leads.push_back(ecg);
+  leads.back()[n / 2] = std::numeric_limits<double>::quiet_NaN();
+  leads.push_back(ecg);
+  leads.back()[n / 3] = std::numeric_limits<double>::infinity();
+  // Plain ECG, and ECG on a coarse ADC grid (frequent equal raw samples).
+  leads.push_back(ecg);
+  leads.push_back(synth_ecg(12.0, 4243).samples_mv);
+  for (double& x : leads.back()) x = std::round(x * 20.0) / 20.0;
+  return leads;
+}
+
+// The candidate-mask scan against the scalar oracle on plateaus, subnormal
+// steps, NaN and +Inf, for every chunk length 1..130 (so blocks end, and the
+// integrated ring wraps, at every offset inside a scan span), 1..8 lanes,
+// and every tier the host runs.
+TEST(LaneQrs, CandidateScanParityOnEdgeCases) {
+  const auto leads = scan_edge_leads();
+  const double fs = 250.0;
+  std::vector<ecg::StreamingQrsDetector> refs;
+  for (const auto& lead : leads) {
+    refs.emplace_back(fs);
+    refs.back().push(lead);
+    refs.back().finish();
+  }
+  EXPECT_GT(refs[2].beats().size(), 0u) << "the subnormal lead must detect beats";
+
+  for (const auto tier : available_tiers()) {
+    TierGuard guard(tier);
+    for (std::size_t len = 1; len <= 130; ++len) {
+      const std::size_t lanes = 1 + (len - 1) % ecg::LaneQrsDetector::kMaxLanes;
+      ecg::LaneQrsDetector pack(fs);
+      std::vector<std::size_t> lane_of(lanes), lead_of(lanes);
+      for (std::size_t p = 0; p < lanes; ++p) {
+        lane_of[p] = pack.add_lane();
+        lead_of[p] = (p + len) % leads.size();  // Rotate leads across lane slots.
+      }
+      std::vector<ecg::LaneQrsDetector::LaneChunk> chunks;
+      for (std::size_t at = 0;; at += len) {
+        chunks.clear();
+        for (std::size_t p = 0; p < lanes; ++p) {
+          const auto& lead = leads[lead_of[p]];
+          if (at < lead.size())
+            chunks.push_back({lane_of[p], std::span<const double>(lead).subspan(
+                                              at, std::min(len, lead.size() - at))});
+        }
+        if (chunks.empty()) break;
+        pack.push(chunks);
+      }
+      for (std::size_t p = 0; p < lanes; ++p) {
+        SCOPED_TRACE(testing::Message() << "tier " << static_cast<int>(tier) << " chunk " << len
+                                        << " lead " << lead_of[p]);
+        pack.finish(lane_of[p]);
+        expect_lane_matches(pack, lane_of[p], refs[lead_of[p]]);
+      }
+    }
+  }
+}
+
 // Lockstep traffic on a vector tier actually takes the vector path, and a
 // freed slot's ring storage stays pooled (resident footprint is bounded by
 // the pack width, not by patient churn).
@@ -381,7 +461,9 @@ TEST(LaneWindowExtractor, OccupancyCountersSurviveChurn) {
     pushed += static_cast<std::uint64_t>(chunks.size()) * 512;
   }
   for (int p = 0; p < 6; ++p) extractor.erase_patient(p);
-  EXPECT_EQ(extractor.lane_vector_samples() + extractor.lane_scalar_samples(), pushed);
+  const auto lanes = extractor.lane_stats();
+  EXPECT_EQ(lanes.vector_samples + lanes.scalar_samples, pushed);
+  EXPECT_LE(lanes.vector_samples, lanes.vector_slots);
   EXPECT_STREQ(extractor.lane_isa(), ecg::lane_isa_name());
 }
 
