@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,14 @@ int main(int argc, char** argv) {
   config.stride_s = 10.0;
   std::uint64_t seed = 21;
   std::size_t exit_after = 0;
+  const auto usage = [argv] {
+    std::fprintf(stderr,
+                 "usage: %s [--tcp PORT] [--uds PATH] [--workers N] [--queue N]"
+                 " [--drop-oldest] [--flush-bytes B] [--fs HZ] [--window S] [--stride S]"
+                 " [--seed S] [--exit-after N] [--least-loaded]\n",
+                 argv[0]);
+    return 2;
+  };
   for (int a = 1; a < argc; ++a) {
     const std::string arg = argv[a];
     const char* value = a + 1 < argc ? argv[a + 1] : nullptr;
@@ -80,18 +89,22 @@ int main(int argc, char** argv) {
     } else if (arg == "--least-loaded") {
       options.engine.placement = std::make_shared<rt::LeastLoadedPlacement>();
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--tcp PORT] [--uds PATH] [--workers N] [--queue N]"
-                   " [--drop-oldest] [--flush-bytes B] [--fs HZ] [--window S] [--stride S]"
-                   " [--seed S] [--exit-after N] [--least-loaded]\n",
-                   argv[0]);
-      return 2;
+      return usage();
     }
   }
   if (endpoints.empty()) endpoints.push_back(net::Endpoint::tcp("127.0.0.1", 0));
 
   auto registry = std::make_shared<rt::ModelRegistry>(rt::synthetic_full_feature_model(seed));
-  net::ServeGateway gateway(std::move(registry), config, options);
+  // A refused stream geometry (e.g. --stride 10.1 at the default 20 s
+  // window) is a usage error, reported before anything is bound.
+  std::unique_ptr<net::ServeGateway> served;
+  try {
+    served = std::make_unique<net::ServeGateway>(std::move(registry), config, options);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return usage();
+  }
+  net::ServeGateway& gateway = *served;
   for (const auto& endpoint : endpoints) {
     const auto bound = gateway.add_listener(endpoint);
     std::printf("listening on %s\n", bound.to_string().c_str());

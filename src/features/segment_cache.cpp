@@ -2,29 +2,54 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <sstream>
+#include <stdexcept>
 
 #include "common/assert.hpp"
 #include "dsp/simd_kernels.hpp"
 
 namespace svt::features {
 
-std::optional<SegmentFeatureCache::Layout> SegmentFeatureCache::plan(
-    double fs_hz, double edr_fs_hz, std::int64_t stride_samples, std::int64_t window_samples) {
-  if (fs_hz <= 0.0 || edr_fs_hz <= 0.0 || stride_samples <= 0 || window_samples <= 0)
-    return std::nullopt;
-  if (window_samples % stride_samples != 0) return std::nullopt;
-  // The EDR grid must advance an integral number of points per stride so
-  // chunk-local grid times are stride-invariant.
-  const double chunk_len_d = static_cast<double>(stride_samples) * edr_fs_hz / fs_hz;
-  if (chunk_len_d < 1.0 || chunk_len_d != std::floor(chunk_len_d)) return std::nullopt;
+SegmentFeatureCache::Layout SegmentFeatureCache::plan(double fs_hz, double edr_fs_hz,
+                                                      std::int64_t stride_samples,
+                                                      std::int64_t window_samples) {
+  if (!(fs_hz > 0.0) || !(edr_fs_hz > 0.0) || stride_samples <= 0 || window_samples <= 0)
+    throw std::invalid_argument(
+        "SegmentFeatureCache: sampling rates, stride and window must be positive");
+  // Chunks of G = gcd(W, S) samples tile both the window and the stride.
+  // The EDR grid must advance a whole number of points per chunk so
+  // chunk-local grid times are the same for every chunk.
+  const std::int64_t g = std::gcd(window_samples, stride_samples);
+  const double chunk_len_d = static_cast<double>(g) * edr_fs_hz / fs_hz;
+  if (chunk_len_d < 1.0 || chunk_len_d != std::floor(chunk_len_d)) {
+    std::ostringstream msg;
+    msg << "SegmentFeatureCache: window " << window_samples << " and stride " << stride_samples
+        << " samples share chunks of gcd = " << g << " samples, which span " << chunk_len_d
+        << " EDR points at " << fs_hz << " Hz / " << edr_fs_hz
+        << " Hz EDR; gcd(window, stride) * edr_fs_hz / fs_hz must be a whole number >= 1";
+    throw std::invalid_argument(msg.str());
+  }
+  // A chunk sees one chunk of left context, so it keeps every RR interval
+  // no longer than a chunk; a shorter chunk would silently drop ordinary
+  // heartbeats (and hold most of its EDR flat).
+  if (static_cast<double>(g) < kMinChunkS * fs_hz) {
+    std::ostringstream msg;
+    msg << "SegmentFeatureCache: window " << window_samples << " and stride " << stride_samples
+        << " samples share chunks of gcd = " << g << " samples ("
+        << static_cast<double>(g) / fs_hz << " s at " << fs_hz
+        << " Hz); gcd(window, stride) must span at least " << kMinChunkS
+        << " s, the longest RR interval a chunk is sure to keep";
+    throw std::invalid_argument(msg.str());
+  }
 
   Layout layout;
   layout.fs_hz = fs_hz;
   layout.edr_fs_hz = edr_fs_hz;
-  layout.stride_samples = stride_samples;
+  layout.chunk_samples = g;
   layout.window_samples = window_samples;
   layout.chunk_len = static_cast<std::int64_t>(chunk_len_d);
-  layout.chunks_per_window = window_samples / stride_samples;
+  layout.chunks_per_window = window_samples / g;
   // Welch segment: the largest multiple of the chunk length that fits
   // welch_psd's default 256-point segment, clamped to the window; hop is one
   // chunk, so a segment periodogram is shared by every window covering it.
@@ -57,10 +82,10 @@ const SegmentFeatureCache::Chunk& SegmentFeatureCache::chunk(const ecg::BeatRing
 }
 
 void SegmentFeatureCache::build_chunk(const ecg::BeatRing& ring, std::int64_t m, Chunk& out) {
-  const std::int64_t S = layout_.stride_samples;
-  const std::int64_t lo = (m - 1) * S;  // One stride of left context.
-  const std::int64_t seg_lo = m * S;
-  const std::int64_t hi = (m + 1) * S;
+  const std::int64_t G = layout_.chunk_samples;
+  const std::int64_t lo = (m - 1) * G;  // One chunk of left context.
+  const std::int64_t seg_lo = m * G;
+  const std::int64_t hi = (m + 1) * G;
   beat_t_.clear();
   beat_a_.clear();
   beat_i_.clear();
@@ -79,7 +104,7 @@ void SegmentFeatureCache::build_chunk(const ecg::BeatRing& ring, std::int64_t m,
   out.rr.clear();
   out.rr_from.clear();
   for (std::size_t j = 1; j < beat_i_.size(); ++j) {
-    if (beat_i_[j] < seg_lo) continue;  // Interval ends in the context stride.
+    if (beat_i_[j] < seg_lo) continue;  // Interval ends in the context chunk.
     out.rr.push_back(static_cast<double>(beat_i_[j] - beat_i_[j - 1]) / layout_.fs_hz);
     out.rr_from.push_back(beat_i_[j - 1]);
   }
@@ -144,7 +169,7 @@ const std::vector<double>& SegmentFeatureCache::segment_psd(std::int64_t m,
 
 SegmentFeatureCache::WindowView SegmentFeatureCache::assemble_window(std::int64_t m0) {
   const std::int64_t cpw = layout_.chunks_per_window;
-  const std::int64_t start = m0 * layout_.stride_samples;
+  const std::int64_t start = m0 * layout_.chunk_samples;
   const std::size_t chunk_len = static_cast<std::size_t>(layout_.chunk_len);
   rr_buf_.clear();
   edr_buf_.resize(static_cast<std::size_t>(layout_.window_edr_len()));

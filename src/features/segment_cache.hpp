@@ -1,20 +1,30 @@
-// Overlap-aware memoization of per-stride feature intermediates.
+// Overlap-aware memoization of per-chunk feature intermediates.
 //
 // At the paper's 180 s window / 30 s stride configuration every window
 // shares 5/6 of its samples with its predecessor, yet a from-scratch
 // extractor rebuilds the RR tachogram, re-resamples the EDR series and
 // recomputes every Welch segment FFT per window — paying the overlap
 // factor in redundant work. This cache keys those intermediates on
-// *stride-aligned segments* of the patient stream so each is computed once
-// and reused by every window that covers it:
+// *chunks* of G = gcd(window, stride) samples of the patient stream, so
+// each is computed once and reused by every window that covers it. A
+// stride is k = S/G chunks and a window W/G chunks; when the stride
+// divides the window, G = S and a chunk is one stride.
 //
-//   stride chunks   m:  [m*S, (m+1)*S) raw samples  ->  EDR grid values +
+//   chunks          m:  [m*G, (m+1)*G) raw samples  ->  EDR grid values +
 //                       RR interval slice (one entry per chunk)
 //   Welch segments  m:  chunks m..m+seg_chunks-1    ->  one-sided
 //                       periodogram power (one entry per segment start)
 //
+// Every geometry runs this one path: plan() refuses (std::invalid_argument)
+// a geometry whose chunk does not span a whole number (>= 1) of EDR grid
+// points, e.g. 20 s / 10.1 s at 250 Hz / 4 Hz (G = 25 samples = 0.4
+// points), since chunk-local grid times must be the same for every chunk;
+// and one whose chunk is shorter than kMinChunkS = 2 s, e.g. 20 s / 10.5 s
+// (G = 0.5 s), since a chunk keeps only the RR intervals that fit its one
+// chunk of left context.
+//
 // Bit-exactness is by *construction*, not by tolerance: a chunk's products
-// depend only on the final beats inside [(m-1)*S, (m+1)*S) — local beat
+// depend only on the final beats inside [(m-1)*G, (m+1)*G) — local beat
 // times are anchored at the chunk start, RR intervals are differences of
 // absolute integer sample indices, and the interpolation runs the exact
 // resample_linear_into arithmetic — so recomputing an entry from the same
@@ -22,10 +32,10 @@
 // runs. A window is then assembled purely by concatenating chunk products:
 // the cached and the memoization-disabled pipeline execute the same code on
 // the same values (asserted by tests/test_rt_feature_cache.cpp with
-// EXPECT_EQ on doubles, across strides, chunkings and eviction).
+// EXPECT_EQ on doubles, across geometries, chunkings and eviction).
 //
 // Chunk semantics (shared by the cached and uncached builds):
-//  * A chunk sees one stride of left context: beats in [(m-1)*S, (m+1)*S).
+//  * A chunk sees one chunk of left context: beats in [(m-1)*G, (m+1)*G).
 //    Grid points before the first such beat clamp to its amplitude; points
 //    after the last one hold its amplitude (the next beat is outside the
 //    causal horizon, so the tail holds flat until the next chunk re-anchors
@@ -34,24 +44,26 @@
 //    which is what makes the newest chunk cacheable too).
 //  * RR intervals are (n_i - n_{i-1}) / fs over absolute beat sample
 //    indices; an interval is stored with the chunk of its *ending* beat and
-//    only if its opening beat lies within the left-context horizon (a gap
-//    longer than one stride yields no interval — at clinical strides such
-//    an interval could only be an artifact).
+//    only if its opening beat lies within the left-context horizon. Every
+//    interval up to one chunk is kept, and plan() refuses chunks shorter
+//    than kMinChunkS = 2 s (30 bpm), so a dropped gap is a pause of more
+//    than 2 s, not a heartbeat.
 //  * A chunk with no beat in its horizon is `empty`; window assembly fills
 //    it by holding the preceding chunk's tail (or clamping to the next
 //    chunk's front when the window starts empty). Welch segments touching
 //    an empty chunk are recomputed per window and not cached.
+//  * Welch segments hop by one chunk, so a segment periodogram is shared by
+//    every window covering it.
 //
 // Memory is bounded per patient: chunks_per_window chunk entries plus
 // num_segments periodogram entries plus the window assembly buffers — a
 // few tens of kilobytes at the paper configuration, independent of stream
-// length (old entries are overwritten in place as the stride advances;
+// length (old entries are overwritten in place as the stream advances;
 // stats().evictions counts them).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -67,7 +79,7 @@ namespace svt::features {
 struct SegmentCacheStats {
   std::uint64_t hits = 0;       ///< Products served from the cache.
   std::uint64_t misses = 0;     ///< Products (re)built.
-  std::uint64_t evictions = 0;  ///< Valid entries overwritten by the stride advance.
+  std::uint64_t evictions = 0;  ///< Valid entries overwritten as the stream advances.
 
   double hit_rate() const {
     const std::uint64_t total = hits + misses;
@@ -83,13 +95,13 @@ struct SegmentCacheStats {
 
 class SegmentFeatureCache {
  public:
-  /// The stride-aligned geometry everything is keyed on. Derived once by
-  /// plan(); immutable for the cache's lifetime.
+  /// The chunk geometry everything is keyed on. Derived once by plan();
+  /// immutable for the cache's lifetime.
   struct Layout {
     double fs_hz = 0.0;
     double edr_fs_hz = 0.0;
-    std::int64_t stride_samples = 0;    ///< S: raw samples per chunk.
-    std::int64_t window_samples = 0;    ///< W = S * chunks_per_window.
+    std::int64_t chunk_samples = 0;     ///< G = gcd(W, S): raw samples per chunk.
+    std::int64_t window_samples = 0;    ///< W = G * chunks_per_window.
     std::int64_t chunk_len = 0;         ///< C: EDR grid points per chunk.
     std::int64_t chunks_per_window = 0;
     std::int64_t seg_chunks = 0;        ///< Chunks per Welch segment.
@@ -99,15 +111,19 @@ class SegmentFeatureCache {
     std::int64_t welch_segment_len() const { return chunk_len * seg_chunks; }
   };
 
-  /// The geometry for a stream configuration, or nullopt when it is not
-  /// stride-aligned (the extractor then runs its legacy whole-window path):
-  /// alignment requires the EDR grid to advance an integral number of
-  /// points per stride (stride_samples * edr_fs_hz / fs_hz integral) and
-  /// the window to be an integral number of strides. The Welch segment
-  /// spans the largest multiple of the chunk length <= 256 grid points
-  /// (welch_psd's default segment), clamped to the window.
-  static std::optional<Layout> plan(double fs_hz, double edr_fs_hz,
-                                    std::int64_t stride_samples, std::int64_t window_samples);
+  /// Shortest accepted chunk [s]: a chunk keeps every RR interval up to
+  /// its own length, and 2 s covers heart rates down to 30 bpm.
+  static constexpr double kMinChunkS = 2.0;
+
+  /// The geometry for a stream configuration. Chunks are G = gcd(window,
+  /// stride) samples; throws std::invalid_argument when a chunk does not
+  /// span a whole number (>= 1) of EDR grid points (G * edr_fs_hz / fs_hz
+  /// integral), when it is shorter than kMinChunkS, or on non-positive
+  /// inputs. The Welch segment spans the
+  /// largest multiple of the chunk length <= 256 grid points (welch_psd's
+  /// default segment), clamped to the window.
+  static Layout plan(double fs_hz, double edr_fs_hz, std::int64_t stride_samples,
+                     std::int64_t window_samples);
 
   /// memoize=false runs the identical build code but rebuilds every product
   /// on every access — the "from scratch" reference the parity suite holds
@@ -118,19 +134,19 @@ class SegmentFeatureCache {
   bool memoize() const { return memoize_; }
   const SegmentCacheStats& stats() const { return stats_; }
 
-  /// One stride chunk's memoized products.
+  /// One chunk's memoized products.
   struct Chunk {
-    std::int64_t index = -1;  ///< Stride index m; covers raw [m*S, (m+1)*S).
-    bool empty = false;       ///< No beat fell in [(m-1)*S, (m+1)*S).
-    std::size_t beats = 0;    ///< Beats with sample_index in [m*S, (m+1)*S).
+    std::int64_t index = -1;  ///< Chunk index m; covers raw [m*G, (m+1)*G).
+    bool empty = false;       ///< No beat fell in [(m-1)*G, (m+1)*G).
+    std::size_t beats = 0;    ///< Beats with sample_index in [m*G, (m+1)*G).
     std::vector<double> edr;  ///< chunk_len grid values (unset when empty).
     std::vector<double> rr;   ///< Intervals ending at in-chunk beats [s].
     std::vector<std::int64_t> rr_from;  ///< Opening-beat sample index per interval.
   };
 
   /// Chunk m, built from the ring on a miss. The ring must still hold every
-  /// final beat with sample_index in [(m-1)*S, (m+1)*S) — the extractor
-  /// guarantees this by retaining one stride of beats behind the window.
+  /// final beat with sample_index in [(m-1)*G, (m+1)*G) — the extractor
+  /// guarantees this by retaining one chunk of beats behind the window.
   const Chunk& chunk(const ecg::BeatRing& ring, std::int64_t m);
 
   /// Periodogram of the Welch segment starting at chunk m (covering chunks
@@ -145,7 +161,7 @@ class SegmentFeatureCache {
   struct WindowView {
     std::span<const double> rr;   ///< Concatenated in-window intervals.
     std::span<const double> edr;  ///< window_edr_len() grid values.
-    std::size_t beats = 0;        ///< Beats inside [m0*S, m0*S + W).
+    std::size_t beats = 0;        ///< Beats inside [m0*G, m0*G + W).
   };
   WindowView assemble_window(std::int64_t m0);
 

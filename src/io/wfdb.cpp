@@ -209,16 +209,26 @@ std::vector<FileGroup> group_by_file(const RecordHeader& header) {
 template <int Format>
 int stored_sample(const unsigned char* bytes, std::size_t i);
 
+/// Sign-extend a 12-bit two's-complement value.
+int sign_extend_12(unsigned v) {
+  return (static_cast<int>(v) ^ 0x800) - 0x800;
+}
+
 /// Format 212: sample pairs share 3 bytes; an even sample takes the low
 /// byte plus the low nibble of the middle byte, an odd one the high byte
 /// plus its high nibble. A record's odd last sample sits in a 2-byte
 /// half-group and, being even, never touches a third byte.
+int even_212(const unsigned char* group) {
+  return sign_extend_12(group[0] | ((group[1] & 0x0Fu) << 8));
+}
+int odd_212(const unsigned char* group) {
+  return sign_extend_12(group[2] | ((group[1] >> 4) << 8));
+}
+
 template <>
 int stored_sample<212>(const unsigned char* bytes, std::size_t i) {
   const unsigned char* group = bytes + (i / 2) * 3;
-  const unsigned v = i % 2 == 0 ? group[0] | ((group[1] & 0x0Fu) << 8)
-                                : group[2] | ((group[1] >> 4) << 8);
-  return (static_cast<int>(v) ^ 0x800) - 0x800;  // Sign-extend 12 bits.
+  return i % 2 == 0 ? even_212(group) : odd_212(group);
 }
 
 template <>
@@ -252,6 +262,30 @@ void decode(int format, const unsigned char* bytes, std::size_t width, std::size
 
 std::size_t stored_bytes(int format, std::size_t total) {
   return format == 212 ? (total / 2) * 3 + (total % 2) * 2 : format == 80 ? total : total * 2;
+}
+
+/// Visit the first `total` stored samples in storage order, two at a time:
+/// `pair(a, b)` per sample pair, then `single(a)` for an odd last sample.
+/// Format 212 decodes a whole 3-byte group per step, with no per-sample
+/// parity branch.
+template <class Pair, class Single>
+void for_each_pair(int format, const unsigned char* bytes, std::size_t total, Pair&& pair,
+                   Single&& single) {
+  const std::size_t pairs = total / 2;
+  const auto run = [&](auto tag) {
+    constexpr int kFormat = decltype(tag)::value;
+    for (std::size_t g = 0; g < pairs; ++g)
+      pair(stored_sample<kFormat>(bytes, 2 * g), stored_sample<kFormat>(bytes, 2 * g + 1));
+    if (total % 2 != 0) single(stored_sample<kFormat>(bytes, total - 1));
+  };
+  if (format == 212) {
+    for (std::size_t g = 0; g < pairs; ++g, bytes += 3) pair(even_212(bytes), odd_212(bytes));
+    if (total % 2 != 0) single(even_212(bytes));
+  } else if (format == 80) {
+    run(std::integral_constant<int, 80>{});
+  } else {
+    run(std::integral_constant<int, 16>{});
+  }
 }
 
 /// The conversion signal_mv and read_mv share. The subtraction is done in
@@ -357,15 +391,20 @@ RecordReader::RecordReader(const std::string& dir, const std::string& record_nam
     for (std::size_t k = 0; k < width; ++k) slots_[group.channels[k]] = {files_.size(), k};
     files_.push_back(std::move(file));
   }
-  for (std::size_t c = 0; c < header_.num_signals(); ++c) {
-    const auto& spec = header_.signals[c];
-    if (!spec.has_checksum) continue;
-    const auto& file = files_[slots_[c].file];
-    std::uint32_t sum = 0;
-    decode(file.format, file.bytes.data(), file.width, slots_[c].index, 0, header_.num_samples,
-           [&sum](std::size_t, int v) { sum += static_cast<std::uint32_t>(v); });
-    if (static_cast<std::int16_t>(static_cast<std::uint16_t>(sum)) != spec.checksum)
-      fail(record + "signal " + std::to_string(c) + ": checksum mismatch (corrupt signal file?)");
+  // Every checksum is verified here, before any caller can decode a sample:
+  // one sweep per file sums all of its interleaved signals at once.
+  for (std::size_t f = 0; f < files_.size(); ++f) {
+    const auto& file = files_[f];
+    std::vector<std::uint32_t> sums;
+    for (std::size_t c = 0; c < header_.num_signals(); ++c) {
+      const auto& spec = header_.signals[c];
+      if (!spec.has_checksum || slots_[c].file != f) continue;
+      if (sums.empty())
+        sums = checksum_sweep(file.format, file.bytes, file.width, header_.num_samples);
+      if (static_cast<std::int16_t>(static_cast<std::uint16_t>(sums[slots_[c].index])) !=
+          spec.checksum)
+        fail(record + "signal " + std::to_string(c) + ": checksum mismatch (corrupt signal file?)");
+    }
   }
 }
 
@@ -395,6 +434,50 @@ void RecordReader::read_mv(std::size_t channel, std::size_t offset,
   const auto& spec = header_.signals[channel];
   decode(file.format, file.bytes.data(), file.width, slot.index, offset, out.size(),
          [out, &spec](std::size_t j, int v) { out[j] = adc_to_mv(v, spec); });
+}
+
+std::vector<std::uint32_t> checksum_sweep(int format, std::span<const unsigned char> bytes,
+                                          std::size_t width, std::size_t frames) {
+  if (format != 212 && format != 16 && format != 80)
+    fail("checksum_sweep: unsupported format " + std::to_string(format));
+  if (width == 0) fail("checksum_sweep: zero signals per frame");
+  if (frames > std::numeric_limits<std::size_t>::max() / (2 * width) ||
+      bytes.size() < stored_bytes(format, frames * width))
+    fail("checksum_sweep: " + std::to_string(bytes.size()) + " bytes hold fewer than " +
+         std::to_string(frames) + " frames of " + std::to_string(width) + " signals");
+  const std::size_t total = frames * width;
+  const auto u32 = [](int v) { return static_cast<std::uint32_t>(v); };
+  std::vector<std::uint32_t> sums(width, 0);
+  if (width <= 2) {
+    // Pairs start at even sample indices, so the first of a pair is always
+    // frame slot 0 and the second slot width - 1; sums mod 2^32 regroup
+    // freely, and locals keep the accumulators out of memory.
+    std::uint32_t first = 0, second = 0;
+    const auto pair = [&first, &second, u32](int a, int b) {
+      first += u32(a);
+      second += u32(b);
+    };
+    const auto single = [&first, u32](int a) { first += u32(a); };  // Odd total, width 1.
+    for_each_pair(format, bytes.data(), total, pair, single);
+    if (width == 1) {
+      sums[0] = first + second;
+    } else {
+      sums[0] = first;
+      sums[1] = second;
+    }
+  } else {
+    std::size_t k = 0;  // Frame slot of the next sample.
+    const auto single = [&sums, &k, width, u32](int v) {
+      sums[k] += u32(v);
+      if (++k == width) k = 0;
+    };
+    const auto pair = [&single](int a, int b) {
+      single(a);
+      single(b);
+    };
+    for_each_pair(format, bytes.data(), total, pair, single);
+  }
+  return sums;
 }
 
 WfdbRecord read_record(const std::string& dir, const std::string& record_name) {

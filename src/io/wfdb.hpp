@@ -31,7 +31,8 @@
 //   <file>.dat ──one sized read──> raw bytes (1 B/sample for 80, 1.5 B for
 //        │                         212, 2 B for 16 — nothing else is kept)
 //        ├─ exact file size vs header, per signal file
-//        ├─ every signal's checksum (one full decode pass)
+//        ├─ every signal's checksum (checksum_sweep: one pass per file
+//        │  sums all of its interleaved signals at once)
 //        ▼
 //   RecordReader::read_adc / read_mv(channel, offset, out)
 //        decode any [offset, offset + n) slice of one channel on demand
@@ -146,6 +147,16 @@ class RecordReader {
   std::vector<SignalFile> files_;
   std::vector<Slot> slots_;  ///< Per channel.
 };
+
+/// Per-signal sums (mod 2^32) of the stored samples of one signal file of
+/// `frames` frames, `width` signals interleaved per frame — the quantity a
+/// WFDB checksum keeps the low 16 bits of. One pass over the bytes in
+/// storage order: format 212 decodes each 3-byte group's two samples at
+/// once, and widths 1 and 2 accumulate in locals. RecordReader checks every
+/// checksum with it. Throws std::invalid_argument on an unsupported format,
+/// a zero width, or fewer bytes than the frames need.
+std::vector<std::uint32_t> checksum_sweep(int format, std::span<const unsigned char> bytes,
+                                          std::size_t width, std::size_t frames);
 
 /// Read a whole record: a RecordReader's checks, then every channel
 /// decoded to ADC units.

@@ -184,7 +184,6 @@ class ShardedStreamClassifier final : public Engine {
 
   /// Aggregate segment-cache counters (hits / misses / evictions of the
   /// incremental feature pipeline) summed over every shard's extractor.
-  /// All zeros when the stream configuration is not stride-aligned.
   /// Quiescent read: fence with flush() first — the extractors are
   /// worker-owned, and the fence is what orders their counters with this
   /// call.

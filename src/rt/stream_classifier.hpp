@@ -87,8 +87,7 @@ class StreamClassifier final : public Engine {
   /// Windows rejected for having fewer than min_beats R peaks.
   std::size_t rejected_windows() const { return extractor_.rejected_windows(); }
 
-  /// Segment-cache counters of the incremental feature pipeline (all zeros
-  /// on non-stride-aligned configurations).
+  /// Segment-cache counters of the incremental feature pipeline.
   features::SegmentCacheStats cache_stats() const { return extractor_.cache_stats(); }
 
   /// Quality-gate counters (all zeros when the gate is off).

@@ -3,19 +3,21 @@
 //
 //   push_batch({patient, chunk}...)
 //   ┌──────────────────────────┐ beats ┌───────────────────────────────────┐
-//   │ lane packs: up to 8      │ ring  │ slice beats in [start, start+W)   │  sink(
-//   │ patients' Pan-Tompkins   │ ────> │ -> RR + EDR series (scratch)      │ ─ ExtractedWindow)
+//   │ lane packs: up to 8      │ ring  │ gcd(W, S)-sample chunks -> RR +   │  sink(
+//   │ patients' Pan-Tompkins   │ ────> │ EDR + Welch (segment cache)       │ ─ ExtractedWindow)
 //   │ chains in SIMD lockstep  │       │ -> 53 raw features (zero-alloc)   │
 //   └──────────────────────────┘       └───────────────────────────────────┘
 //
 // Extraction is *incremental*: each raw sample runs through the online
 // Pan-Tompkins chain exactly once as it arrives, and a window is assembled
-// by slicing the beats that fall inside [start, start + window_s) out of
-// the patient's beat ring — overlapping strides therefore cost O(1) work
-// per sample instead of re-running the whole filter chain window_s/stride_s
-// times per sample, and emission performs no heap allocation in steady
-// state (one features::FeatureScratch per extractor, reused across every
-// patient and window).
+// from the per-chunk products (RR slice, EDR grid, Welch periodograms) of
+// its W/G chunks of G = gcd(window, stride) samples, each built once from
+// the patient's beat ring by features::SegmentFeatureCache — overlapping
+// strides therefore cost O(1) work per sample instead of re-running the
+// whole filter chain window_s/stride_s times per sample, and emission
+// performs no heap allocation in steady state (one
+// features::FeatureScratch per extractor, reused across every patient and
+// window).
 //
 // Patients stream at the same rate, so their identical filter chains run
 // lane-parallel: patients are grouped into LaneQrsDetector packs (one
@@ -34,7 +36,7 @@
 // runs behind the integrator), a window is emitted once the detector's
 // finality frontier passes the window end — emission_lag_samples() (~190 ms
 // at 250 Hz) after the last sample of the window arrives. Beat times inside
-// a window are relative to the window start, so identical beat patterns
+// a chunk are relative to the chunk start, so identical beat patterns
 // produce bit-identical features wherever they sit in the stream.
 //
 // The extractor is deliberately model-free: it emits *raw full-length*
@@ -51,7 +53,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -72,12 +73,14 @@ struct StreamConfig {
   /// Windows with fewer beats than this are rejected (counted, not
   /// emitted): too few beats to rebuild the RR/EDR series.
   std::size_t min_beats = 4;
-  /// Memoize per-stride feature intermediates (RR slices, EDR chunks, Welch
-  /// segment periodograms) when the configuration is stride-aligned, so
+  /// Memoize per-chunk feature intermediates (RR slices, EDR chunks, Welch
+  /// segment periodograms; chunks are gcd(window, stride) samples), so
   /// overlapping windows stop recomputing their shared samples. false runs
   /// the identical chunked pipeline but rebuilds every product per window —
   /// the parity reference (bit-identical output, none of the speedup).
-  /// Non-aligned configurations use the legacy whole-window path either way.
+  /// Either way a geometry whose chunk spans no whole number of EDR points,
+  /// or is shorter than 2 s, is refused at construction (see
+  /// SegmentFeatureCache::plan).
   bool incremental = true;
   /// Workloads served per window, indexed by position (the workload id on
   /// every result). Empty = exactly {apnea_workload()} as workload 0 — the
@@ -122,8 +125,11 @@ class WindowExtractor {
   };
 
   /// Throws std::invalid_argument on a non-positive sampling rate, window,
-  /// or stride, stride_s > window_s, a window shorter than one sample, or a
-  /// sampling rate too low for the QRS band-pass (fs_hz <= 30).
+  /// or stride, stride_s > window_s, a window shorter than one sample, a
+  /// sampling rate too low for the QRS band-pass (fs_hz <= 30), or a
+  /// geometry whose chunk — gcd(window, stride) samples — does not span a
+  /// whole number (>= 1) of EDR grid points or is shorter than
+  /// SegmentFeatureCache::kMinChunkS (2 s).
   explicit WindowExtractor(StreamConfig config = {});
 
   /// Ingest one chunk per patient — the lane-parallel hot path. A call is
@@ -177,12 +183,7 @@ class WindowExtractor {
   std::size_t annotated_windows() const { return annotated_; }
   std::size_t suppressed_windows() const { return suppressed_; }
 
-  /// Whether streams here run the incremental (segment-cached) feature
-  /// pipeline: config.incremental and a stride-aligned configuration.
-  bool incremental_active() const { return cache_layout_.has_value() && config_.incremental; }
-
-  /// Aggregate segment-cache counters over live and retired patients. All
-  /// zeros when the legacy whole-window path is active.
+  /// Aggregate segment-cache counters over live and retired patients.
   features::SegmentCacheStats cache_stats() const;
 
   /// Samples accumulated toward a patient's next window (0 for unknown
@@ -226,8 +227,8 @@ class WindowExtractor {
     std::size_t lane = 0;       ///< Lane slot within the pack.
     std::int64_t pushed = 0;    ///< Samples ingested so far.
     std::int64_t consumed = 0;  ///< Next window start (samples).
-    /// Per-patient stride intermediates (null on the legacy path). Bounded:
-    /// one window of chunk entries + one window of segment periodograms.
+    /// Per-patient chunk intermediates. Bounded: one window of chunk entries
+    /// + one window of segment periodograms.
     std::unique_ptr<features::SegmentFeatureCache> cache;
     /// Per-patient quality-gate state (null when the gate is off).
     std::unique_ptr<ecg::SignalQualityGate> gate;
@@ -238,13 +239,10 @@ class WindowExtractor {
   void release_patient(PatientState& state);
   void emit_ready_windows(int patient_id, PatientState& state, std::int64_t frontier,
                           const WindowSink& sink);
+  /// Assemble the window at state.consumed from its chunks, gate it
+  /// (annotate or suppress), then run every registered workload over the
+  /// substrate and sink one ExtractedWindow per workload.
   void emit_window(int patient_id, PatientState& state, const WindowSink& sink);
-  void emit_window_cached(int patient_id, PatientState& state, const WindowSink& sink);
-  /// The shared back half of both emit paths: gate the window (annotate or
-  /// suppress), then run every registered workload over the substrate and
-  /// sink one ExtractedWindow per workload.
-  void emit_for_workloads(int patient_id, PatientState& state, std::int64_t start,
-                          const WindowSubstrate& substrate, const WindowSink& sink);
 
   StreamConfig config_;
   std::size_t window_samples_ = 0;
@@ -256,9 +254,7 @@ class WindowExtractor {
   std::size_t annotated_ = 0;   ///< Windows emitted with non-zero quality flags.
   std::size_t suppressed_ = 0;  ///< Windows withheld by the suppress policy.
   ecg::LaneStats retired_lane_stats_;  ///< From released packs.
-  /// Segment-cache geometry when the configuration is stride-aligned;
-  /// nullopt selects the legacy whole-window emit path.
-  std::optional<features::SegmentFeatureCache::Layout> cache_layout_;
+  features::SegmentFeatureCache::Layout cache_layout_;
   features::SegmentCacheStats retired_cache_stats_;  ///< From erased/ended patients.
   /// Resolved workload list: config_.workloads, or {apnea_workload()}.
   std::vector<std::shared_ptr<const Workload>> workloads_;
@@ -267,10 +263,6 @@ class WindowExtractor {
   // Per-extractor scratch (extractors are single-threaded): reused across
   // every patient and window, so steady-state emission never allocates.
   features::FeatureScratch scratch_;
-  ecg::RrSeries rr_scratch_;
-  ecg::RespirationSeries edr_scratch_;
-  std::vector<double> beat_times_;  ///< Window-relative beat times.
-  std::vector<double> beat_amps_;
   // push_batch scratch: each chunk's patient, and each pack's lane chunks.
   std::vector<PatientState*> round_states_;
   std::vector<std::vector<ecg::LaneQrsDetector::LaneChunk>> pack_rounds_;

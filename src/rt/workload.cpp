@@ -41,17 +41,14 @@ class ApneaWorkload final : public Workload {
     features::compute_ar_features(s.edr, scratch,
                                   out.subspan(off, features::kNumArFeatures));
     off += features::kNumArFeatures;
+    // The provider applies the PSD gates and hands back the averaged
+    // memoized periodograms (null = gates failed, keep the zero fill —
+    // exactly compute_psd_features' early-out contract).
     const auto psd_out = out.subspan(off, features::kNumPsdFeatures);
-    if (s.psd) {
-      // Segment-cached path: the provider applies the PSD gates and hands
-      // back the averaged memoized periodograms (null = gates failed, keep
-      // the zero fill — exactly compute_psd_features' early-out contract).
-      std::fill(psd_out.begin(), psd_out.end(), 0.0);
-      if (const dsp::PsdEstimate* psd = s.psd->window_psd(scratch))
-        features::summarize_psd(*psd, s.edr_fs_hz, psd_out);
-    } else {
-      features::compute_psd_features(s.edr, s.edr_fs_hz, scratch, psd_out);
-    }
+    std::fill(psd_out.begin(), psd_out.end(), 0.0);
+    SVT_ASSERT(s.psd != nullptr);
+    if (const dsp::PsdEstimate* psd = s.psd->window_psd(scratch))
+      features::summarize_psd(*psd, s.edr_fs_hz, psd_out);
   }
 };
 

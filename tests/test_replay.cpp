@@ -1,7 +1,8 @@
 // Cohort replay driver: replaying a writer-generated WFDB cohort through
 // rt::CohortReplayer must yield per-patient results bit-identical to feeding
 // the same (decoded) samples directly to the single-threaded
-// StreamClassifier — under 1/2/4 workers — with end_stream() flushing the
+// StreamClassifier — under 1/2/4 workers, for a stride that divides the
+// window and one that does not — with end_stream() flushing the
 // trailing windows a live stream would hold back, per-record stats that add
 // up, real-time pacing that actually paces, and loud failures on mismatched,
 // ambiguous or corrupt cohorts — before any sample flows.
@@ -87,8 +88,9 @@ std::map<int, std::vector<double>> decoded_cohort(const std::string& dir) {
 /// Reference: the same samples pushed directly into the single-threaded
 /// engine, with the same end-of-record semantics.
 std::map<int, std::vector<rt::WindowResult>> direct_results(
-    const std::map<int, std::vector<double>>& cohort, bool end_streams = true) {
-  rt::StreamClassifier reference(detector(), short_window_config());
+    const std::map<int, std::vector<double>>& cohort, bool end_streams = true,
+    const rt::StreamConfig& config = short_window_config()) {
+  rt::StreamClassifier reference(detector(), config);
   for (const auto& [pid, samples] : cohort) {
     reference.push_samples(pid, samples);
     if (end_streams) reference.end_stream(pid);
@@ -110,18 +112,21 @@ struct Collector {
   }
 };
 
-TEST(CohortReplay, BitIdenticalToDirectStreamingUnder124Workers) {
-  const auto dir = fixture_dir("parity");
+/// Replay the `tag` fixture cohort at 1, 2 and 4 workers under `config`:
+/// every result must be bit-identical to direct single-threaded streaming,
+/// the report's accounting must match what arrived, and the overlapping
+/// windows must have reused cached chunk products.
+void expect_replay_matches_direct(const std::string& tag, const rt::StreamConfig& config) {
+  const auto dir = fixture_dir(tag);
   const auto cohort = decoded_cohort(dir);
-  const auto want = direct_results(cohort);
+  const auto want = direct_results(cohort, true, config);
   ASSERT_FALSE(want.empty());
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     Collector collector;
     auto registry =
         std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
-    rt::CohortReplayer replayer(registry, short_window_config(),
-                                engine_opts(workers, collector.sink()));
+    rt::CohortReplayer replayer(registry, config, engine_opts(workers, collector.sink()));
     const auto report = replayer.replay_directory(dir);
 
     ASSERT_EQ(collector.per_patient.size(), want.size()) << workers << " workers";
@@ -151,7 +156,20 @@ TEST(CohortReplay, BitIdenticalToDirectStreamingUnder124Workers) {
     }
     EXPECT_GT(report.x_realtime, 0.0);
     EXPECT_GT(report.load_s, 0.0);
+    EXPECT_GT(report.cache.hits, 0u) << workers << " workers";
   }
+}
+
+TEST(CohortReplay, BitIdenticalToDirectStreamingUnder124Workers) {
+  expect_replay_matches_direct("parity", short_window_config());
+}
+
+TEST(CohortReplay, StrideNotDividingWindowRunsCachedChunksBitIdentically) {
+  // 20 s / 8 s: features are built on gcd = 4 s chunks (16 EDR points at
+  // 4 Hz), 5 per window, and a stride advances 2 of them.
+  auto config = short_window_config();
+  config.stride_s = 8.0;
+  expect_replay_matches_direct("gcd", config);
 }
 
 TEST(CohortReplay, EndStreamRecoversTrailingWindows) {

@@ -1,9 +1,10 @@
 // SegmentFeatureCache and the incremental (segment-cached) feature
 // pipeline: bit-exact parity with the memoization-disabled reference —
 // which runs the identical chunked code but rebuilds every product per
-// window — across strides, overlaps, chunkings and eviction; plus
-// hand-computed chunk semantics and the sharded engine at 1/2/4 workers
-// against the single-threaded oracle.
+// window — across geometries (gcd chunks where the stride does not divide
+// the window), overlaps, chunkings and eviction; plus the gcd layout and
+// its refusal rule, hand-computed chunk semantics and the sharded engine at
+// 1/2/4 workers against the single-threaded oracle.
 //
 // EXPECT_EQ on doubles throughout: the cache must change WHERE values are
 // computed, never the values.
@@ -13,6 +14,8 @@
 #include <map>
 #include <random>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/tailoring.hpp"
@@ -74,27 +77,70 @@ void expect_windows_equal(const std::vector<rt::ExtractedWindow>& got,
 // --- Layout planning ---------------------------------------------------------
 
 TEST(SegmentCacheLayout, PaperConfigGeometry) {
-  // 180 s window / 30 s stride at 250 Hz, 4 Hz EDR: 6 chunks of 120 grid
-  // points, Welch segments of 2 chunks (240 <= welch_psd's 256 default),
-  // 5 segments per window.
+  // 180 s window / 30 s stride at 250 Hz, 4 Hz EDR: the stride divides the
+  // window, so a chunk is one stride — 6 chunks of 120 grid points, Welch
+  // segments of 2 chunks (240 <= welch_psd's 256 default), 5 segments per
+  // window.
   const auto layout = SegmentFeatureCache::plan(250.0, 4.0, 7500, 45000);
-  ASSERT_TRUE(layout.has_value());
-  EXPECT_EQ(layout->chunk_len, 120);
-  EXPECT_EQ(layout->chunks_per_window, 6);
-  EXPECT_EQ(layout->seg_chunks, 2);
-  EXPECT_EQ(layout->num_segments, 5);
-  EXPECT_EQ(layout->window_edr_len(), 720);
-  EXPECT_EQ(layout->welch_segment_len(), 240);
+  EXPECT_EQ(layout.chunk_samples, 7500);
+  EXPECT_EQ(layout.chunk_len, 120);
+  EXPECT_EQ(layout.chunks_per_window, 6);
+  EXPECT_EQ(layout.seg_chunks, 2);
+  EXPECT_EQ(layout.num_segments, 5);
+  EXPECT_EQ(layout.window_edr_len(), 720);
+  EXPECT_EQ(layout.welch_segment_len(), 240);
 }
 
-TEST(SegmentCacheLayout, RejectsNonAlignedConfigurations) {
-  // Fractional EDR points per stride (2525 * 4 / 250 = 40.4).
-  EXPECT_FALSE(SegmentFeatureCache::plan(250.0, 4.0, 2525, 5000).has_value());
-  // Window not an integral number of strides.
-  EXPECT_FALSE(SegmentFeatureCache::plan(250.0, 4.0, 7500, 46000).has_value());
+TEST(SegmentCacheLayout, GcdChunkGeometry) {
+  // 180 s window / 40 s stride: chunks of gcd = 20 s (80 grid points), 9 per
+  // window, a stride of 2 chunks, Welch segments of 3 chunks (240 points)
+  // hopping one chunk: 7 segments per window.
+  const auto layout = SegmentFeatureCache::plan(250.0, 4.0, 10000, 45000);
+  EXPECT_EQ(layout.chunk_samples, 5000);
+  EXPECT_EQ(10000 / layout.chunk_samples, 2);  // A stride is 2 chunks.
+  EXPECT_EQ(layout.chunk_len, 80);
+  EXPECT_EQ(layout.chunks_per_window, 9);
+  EXPECT_EQ(layout.seg_chunks, 3);
+  EXPECT_EQ(layout.num_segments, 7);
+  EXPECT_EQ(layout.window_edr_len(), 720);
+  EXPECT_EQ(layout.welch_segment_len(), 240);
+  // A window that is no whole number of strides still tiles: gcd(46000,
+  // 7500) = 500 samples = 8 grid points.
+  EXPECT_EQ(SegmentFeatureCache::plan(250.0, 4.0, 7500, 46000).chunk_len, 8);
+}
+
+TEST(SegmentCacheLayout, RefusesGeometryWithoutWholeEdrPointChunk) {
+  // 20 s / 10.1 s at 250 Hz: gcd(5000, 2525) = 25 samples = 0.4 EDR points.
+  try {
+    SegmentFeatureCache::plan(250.0, 4.0, 2525, 5000);
+    ADD_FAILURE() << "a 0.4-point chunk was planned";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("gcd(window, stride)"), std::string::npos) << e.what();
+  }
+  // A whole-point chunk shorter than 2 s: 20 s / 10.5 s and 180 s / 30.5 s
+  // share 125-sample (0.5 s, 2-point) chunks.
+  for (const std::int64_t stride : {std::int64_t{2625}, std::int64_t{7625}}) {
+    try {
+      SegmentFeatureCache::plan(250.0, 4.0, stride, stride == 2625 ? 5000 : 45000);
+      ADD_FAILURE() << "a 0.5 s chunk was planned for stride " << stride;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("at least 2 s"), std::string::npos) << e.what();
+    }
+  }
+  // The refusal happens when the stream is configured, not at the first push.
+  rt::StreamConfig config;
+  config.window_s = 20.0;
+  config.stride_s = 10.1;
+  EXPECT_THROW(rt::WindowExtractor{config}, std::invalid_argument);
+  config.incremental = false;
+  EXPECT_THROW(rt::WindowExtractor{config}, std::invalid_argument);
+  config.stride_s = 10.5;
+  EXPECT_THROW(rt::WindowExtractor{config}, std::invalid_argument);
+  config.incremental = true;
+  EXPECT_THROW(rt::WindowExtractor{config}, std::invalid_argument);
   // Degenerate inputs.
-  EXPECT_FALSE(SegmentFeatureCache::plan(0.0, 4.0, 7500, 45000).has_value());
-  EXPECT_FALSE(SegmentFeatureCache::plan(250.0, 4.0, 0, 45000).has_value());
+  EXPECT_THROW(SegmentFeatureCache::plan(0.0, 4.0, 7500, 45000), std::invalid_argument);
+  EXPECT_THROW(SegmentFeatureCache::plan(250.0, 4.0, 0, 45000), std::invalid_argument);
 }
 
 // --- Hand-computed chunk semantics -------------------------------------------
@@ -103,9 +149,8 @@ TEST(SegmentFeatureCache, ChunkProductsMatchHandComputation) {
   // fs 10 Hz, EDR 1 Hz, stride 20 samples (2 s), window 60 samples: chunks
   // of 2 grid points at local times 0 s and 1 s.
   const auto layout = SegmentFeatureCache::plan(10.0, 1.0, 20, 60);
-  ASSERT_TRUE(layout.has_value());
-  ASSERT_EQ(layout->chunk_len, 2);
-  SegmentFeatureCache cache(*layout, /*memoize=*/true);
+  ASSERT_EQ(layout.chunk_len, 2);
+  SegmentFeatureCache cache(layout, /*memoize=*/true);
 
   ecg::BeatRing ring;
   ring.push_back({5, 1.0});   // Chunk 0, local t = 0.5 s.
@@ -169,9 +214,7 @@ TEST(SegmentFeatureCache, ChunkProductsMatchHandComputation) {
 }
 
 TEST(SegmentFeatureCache, EmptyChunkIsHeldFromPrecedingChunk) {
-  const auto layout = SegmentFeatureCache::plan(10.0, 1.0, 20, 60);
-  ASSERT_TRUE(layout.has_value());
-  SegmentFeatureCache cache(*layout, /*memoize=*/true);
+  SegmentFeatureCache cache(SegmentFeatureCache::plan(10.0, 1.0, 20, 60), /*memoize=*/true);
 
   ecg::BeatRing ring;
   ring.push_back({5, 1.0});
@@ -226,6 +269,19 @@ std::vector<ParityConfig> parity_configs() {
     c.stride_s = 10.0;
     configs.push_back({"20/10", c, 95.0, 555, 2500});
   }
+  {  // Stride does not divide the window: 20 s chunks, stride = 2 chunks.
+    rt::StreamConfig c;
+    c.window_s = 180.0;
+    c.stride_s = 40.0;
+    configs.push_back({"180/40", c, 420.0, 2999, 1250});
+  }
+  {  // 5 s chunks of 40 grid points (EDR at 8 Hz), stride = 5 chunks.
+    rt::StreamConfig c;
+    c.window_s = 60.0;
+    c.stride_s = 25.0;
+    c.edr_fs_hz = 8.0;
+    configs.push_back({"60/25 edr8", c, 160.0, 700, 4001});
+  }
   return configs;
 }
 
@@ -237,7 +293,6 @@ TEST(IncrementalPipeline, CachedBitIdenticalToMemoizeOffAcrossConfigs) {
     cached_config.incremental = true;
     auto off_config = cached_config;
     off_config.incremental = false;
-    ASSERT_TRUE(rt::WindowExtractor(cached_config).incremental_active()) << pc.name;
 
     const auto want = run_stream(off_config, wf, pc.chunk_b);
     const auto got = run_stream(cached_config, wf, pc.chunk_a);
@@ -312,7 +367,7 @@ std::map<int, std::vector<rt::WindowResult>> by_patient(
 TEST(IncrementalPipeline, ShardedEngineMatchesOracleAcrossWorkerCounts) {
   rt::StreamConfig config;
   config.window_s = 20.0;
-  config.stride_s = 10.0;  // Stride-aligned: the cached pipeline engages.
+  config.stride_s = 10.0;
   std::map<int, ecg::EcgWaveform> ward;
   int seed = 60;
   for (int pid : {1, 2, 3, 7, 11})

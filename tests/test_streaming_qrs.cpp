@@ -1,31 +1,35 @@
 // StreamingQrsDetector: bit-exact parity with the batch Pan-Tompkins
 // detector over whole records under any chunking, finality-frontier
-// semantics, beat-ring maintenance, and the WindowExtractor built on top.
+// semantics, beat-ring maintenance, and the WindowExtractor built on top:
+// its refusal of geometries without a whole-EDR-point chunk of at least
+// 2 s, RR features at the shortest accepted chunk, held-back tail windows,
+// scratch reuse and eviction.
 //
-// Parity oracle: per-window features are checked bit-identical to an
-// independently computed batch reference over ONE continuous detection of
-// the whole record — NOT to the seed extractor's per-window re-detection,
-// whose window-local threshold re-learning the incremental engine
-// deliberately abandons (see docs/runtime.md, "Semantics change").
-//
-// The batch-reference tests below use a stride that is NOT aligned to the
-// EDR grid, pinning the legacy whole-window emit path. Stride-aligned
-// configurations run the incremental segment-cached pipeline, whose own
-// semantics and parity oracle live in tests/test_rt_feature_cache.cpp.
+// Window features are checked against one continuous detection of the
+// whole record — NOT the seed extractor's per-window re-detection, whose
+// window-local threshold re-learning the incremental engine deliberately
+// abandons (see docs/runtime.md, "Semantics change"). The chunked feature
+// pipeline's own semantics and parity oracle live in
+// tests/test_rt_feature_cache.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "dsp/resample.hpp"
-#include "dsp/statistics.hpp"
 #include "ecg/ecg_synth.hpp"
 #include "ecg/qrs_detect.hpp"
 #include "ecg/rr_model.hpp"
 #include "ecg/streaming_qrs.hpp"
-#include "features/extractor.hpp"
+#include "features/feature_scratch.hpp"
+#include "features/feature_types.hpp"
+#include "features/hrv_features.hpp"
+#include "features/lorentz_features.hpp"
+#include "features/segment_cache.hpp"
 #include "rt/window_extractor.hpp"
 
 namespace svt {
@@ -153,83 +157,104 @@ TEST(StreamingQrsDetector, BeatRingDropAndGrow) {
 
 // --- WindowExtractor on the streaming detector -------------------------------
 
-/// Independent batch reference for one window: slice the continuous beat
-/// stream to [start, start+W) in samples, rebuild the RR/EDR series exactly
-/// as the extractor specifies (window-relative times), and run the
-/// allocating feature path.
-std::vector<double> reference_features(const std::vector<ecg::Beat>& beats, std::int64_t start,
-                                       std::int64_t end, double fs, double edr_fs,
-                                       std::size_t* nbeats_out) {
-  std::vector<double> times, amps;
-  for (const auto& b : beats) {
-    if (b.sample_index < start || b.sample_index >= end) continue;
-    times.push_back(static_cast<double>(b.sample_index - start) / fs);
-    amps.push_back(b.amplitude_mv);
-  }
-  *nbeats_out = times.size();
-  if (times.size() < 2) return {};
-  ecg::RrSeries rr;
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    rr.beat_times_s.push_back(times[i]);
-    rr.rr_s.push_back(times[i] - times[i - 1]);
-  }
-  const auto uniform = dsp::resample_linear(times, amps, edr_fs);
-  ecg::RespirationSeries edr;
-  edr.fs_hz = edr_fs;
-  edr.values = uniform.values;
-  dsp::remove_mean(edr.values);
-  return features::extract_features(rr, edr);
+/// Independent reference for the RR half of one window's features (8 HRV +
+/// 7 Lorentz): the intervals between consecutive beats of the continuous
+/// beat stream inside [start, end), as differences of absolute sample
+/// indices, through the same span kernels.
+std::vector<double> reference_rr_features(const std::vector<ecg::Beat>& beats,
+                                          std::int64_t start, std::int64_t end, double fs,
+                                          std::size_t* nbeats_out) {
+  std::vector<std::int64_t> in_window;
+  for (const auto& b : beats)
+    if (b.sample_index >= start && b.sample_index < end) in_window.push_back(b.sample_index);
+  *nbeats_out = in_window.size();
+  std::vector<double> rr;
+  for (std::size_t i = 1; i < in_window.size(); ++i)
+    rr.push_back(static_cast<double>(in_window[i] - in_window[i - 1]) / fs);
+  features::FeatureScratch scratch;
+  std::vector<double> out(features::kNumHrvFeatures + features::kNumLorentzFeatures);
+  const std::span<double> view(out);
+  features::compute_hrv_features(rr, scratch, view.first(features::kNumHrvFeatures));
+  features::compute_lorentz_features(rr, scratch, view.subspan(features::kNumHrvFeatures));
+  return out;
 }
 
-TEST(WindowExtractor, WindowsBitIdenticalToBatchReference) {
-  const auto wf = synth_ecg(95.0, 21);
+TEST(WindowExtractor, RefusesGeometryWithoutWholeEdrPointChunk) {
+  // Features are built on chunks of gcd(window, stride) samples, each a
+  // whole number of EDR grid points. 20 s / 10.1 s at 250 Hz shares only
+  // 25-sample chunks (0.4 points at 4 Hz): refused when the extractor is
+  // built, memoization on or off.
+  rt::StreamConfig config;
+  config.window_s = 20.0;
+  config.stride_s = 10.1;
+  for (const bool incremental : {true, false}) {
+    config.incremental = incremental;
+    try {
+      rt::WindowExtractor extractor(config);
+      ADD_FAILURE() << "20 s / 10.1 s was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("whole number"), std::string::npos) << e.what();
+    }
+  }
+  // A whole-point chunk shorter than 2 s is refused too: 20 s / 10.5 s
+  // shares 0.5 s chunks (2 EDR points), too short to keep a heartbeat.
+  config.stride_s = 10.5;
+  for (const bool incremental : {true, false}) {
+    config.incremental = incremental;
+    try {
+      rt::WindowExtractor extractor(config);
+      ADD_FAILURE() << "20 s / 10.5 s was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("at least 2 s"), std::string::npos) << e.what();
+    }
+  }
+  // The rule is the chunk, not stride alignment: 12.5 s does not divide
+  // 20 s, but their 2.5 s chunks span 10 EDR points.
+  config.stride_s = 12.5;
+  const rt::WindowExtractor accepted(config);
+  EXPECT_EQ(accepted.stride_samples(), 3125u);
+}
+
+TEST(WindowExtractor, ShortestAcceptedChunkKeepsEveryInterval) {
+  // 20 s / 14 s shares 2 s chunks, the shortest accepted: every window's
+  // beats and RR-half features must equal those of the whole-window
+  // reference over a finished detector, live windows and tail alike.
+  const auto wf = synth_ecg(150.0, 61);
   rt::StreamConfig config;
   config.fs_hz = wf.fs_hz;
   config.window_s = 20.0;
-  // 10.1 s = 2525 samples: the EDR grid advances 40.4 points per stride, so
-  // the incremental pipeline disengages and this pins the legacy path.
-  config.stride_s = 10.1;
-  ASSERT_FALSE(rt::WindowExtractor(config).incremental_active());
-
-  // Continuous reference beats: the streaming detector over the whole
-  // record (bit-exact vs batch detect_qrs by the tests above), no windowing.
-  ecg::StreamingQrsDetector reference(wf.fs_hz);
-  reference.push(wf.samples_mv);
-  std::vector<ecg::Beat> beats;
-  for (std::size_t i = 0; i < reference.beats().size(); ++i)
-    beats.push_back(reference.beats()[i]);
-
+  config.stride_s = 14.0;
   rt::WindowExtractor extractor(config);
   std::vector<rt::ExtractedWindow> windows;
-  std::span<const double> rest(wf.samples_mv);
-  while (!rest.empty()) {  // Chunked push: window boundaries cross chunks.
-    const std::size_t n = std::min<std::size_t>(777, rest.size());
-    extractor.push_samples(4, rest.first(n),
-                           [&windows](rt::ExtractedWindow&& w) { windows.push_back(w); });
-    rest = rest.subspan(n);
+  const auto collect = [&windows](rt::ExtractedWindow&& w) { windows.push_back(w); };
+  extractor.push_samples(4, wf.samples_mv, collect);
+  extractor.end_patient(4, collect);
+  ASSERT_EQ(extractor.rejected_windows(), 0u);
+  ASSERT_EQ(windows.size(),
+            (wf.samples_mv.size() - extractor.window_samples()) / extractor.stride_samples() + 1);
+
+  ecg::StreamingQrsDetector reference(config.fs_hz);
+  reference.push(wf.samples_mv);
+  reference.finish();
+  std::vector<ecg::Beat> beats;
+  std::int64_t longest_rr = 0;
+  for (std::size_t i = 0; i < reference.beats().size(); ++i) {
+    beats.push_back(reference.beats()[i]);
+    if (i > 0) longest_rr = std::max(longest_rr, beats[i].sample_index - beats[i - 1].sample_index);
   }
-
-  // Every window whose end the finality frontier passed must have emitted.
-  const auto total = static_cast<std::int64_t>(wf.samples_mv.size());
-  const auto lag = static_cast<std::int64_t>(extractor.emission_lag_samples());
-  const auto window = static_cast<std::int64_t>(extractor.window_samples());
-  const auto stride = static_cast<std::int64_t>(extractor.stride_samples());
-  const std::size_t expected =
-      total - lag >= window
-          ? static_cast<std::size_t>((total - lag - window) / stride) + 1
-          : 0;
-  ASSERT_EQ(windows.size() + extractor.rejected_windows(), expected);
-  ASSERT_GT(windows.size(), 5u);
-
+  // The floor keeps every interval up to one chunk: this record's all are.
+  ASSERT_LE(static_cast<double>(longest_rr) / config.fs_hz,
+            features::SegmentFeatureCache::kMinChunkS);
   for (const auto& w : windows) {
     const auto start = static_cast<std::int64_t>(std::llround(w.start_s * config.fs_hz));
     std::size_t nbeats = 0;
-    const auto want = reference_features(beats, start, start + window, config.fs_hz,
-                                         config.edr_fs_hz, &nbeats);
-    EXPECT_EQ(w.num_beats, nbeats);
-    ASSERT_EQ(want.size(), w.features_view().size());
-    for (std::size_t j = 0; j < want.size(); ++j)
-      EXPECT_EQ(w.raw_features[j], want[j]) << "feature " << j << " window " << w.start_s;
+    const auto want_rr = reference_rr_features(
+        beats, start, start + static_cast<std::int64_t>(extractor.window_samples()),
+        config.fs_hz, &nbeats);
+    EXPECT_EQ(w.num_beats, nbeats) << "window at " << w.start_s << " s";
+    for (std::size_t j = 0; j < want_rr.size(); ++j)
+      EXPECT_EQ(w.raw_features[j], want_rr[j])
+          << "window at " << w.start_s << " s, RR feature " << j;
   }
 }
 
@@ -288,9 +313,8 @@ TEST(WindowExtractor, EndPatientEmitsHeldBackTailWindows) {
   rt::StreamConfig config;
   config.fs_hz = full.fs_hz;
   config.window_s = 20.0;
-  config.stride_s = 10.1;  // Unaligned: legacy path (see file comment).
+  config.stride_s = 10.0;
   rt::WindowExtractor extractor(config);
-  ASSERT_FALSE(extractor.incremental_active());
   const std::size_t window = extractor.window_samples();
   const std::size_t stride = extractor.stride_samples();
   const std::size_t total = window + 5 * stride;  // 6 windows; the last ends at the final sample.
@@ -312,23 +336,38 @@ TEST(WindowExtractor, EndPatientEmitsHeldBackTailWindows) {
   ASSERT_EQ(live.size() + tail.size() + extractor.rejected_windows(), 6u);
   ASSERT_FALSE(tail.empty());
 
-  // Reference: finished detector over the same finite record.
+  // References: a finished detector over the same finite record (beats and
+  // the RR half of the features), and the memoization-off pipeline fed the
+  // record in 997-sample chunks (the whole vector).
   ecg::StreamingQrsDetector reference(config.fs_hz);
   reference.push(record);
   reference.finish();
   std::vector<ecg::Beat> beats;
   for (std::size_t i = 0; i < reference.beats().size(); ++i)
     beats.push_back(reference.beats()[i]);
-  for (const auto& w : tail) {
+  auto off_config = config;
+  off_config.incremental = false;
+  rt::WindowExtractor off(off_config);
+  std::vector<rt::ExtractedWindow> all;
+  const auto collect = [&all](rt::ExtractedWindow&& w) { all.push_back(w); };
+  for (std::size_t at = 0; at < total; at += 997)
+    off.push_samples(3, record.subspan(at, std::min<std::size_t>(997, total - at)), collect);
+  off.end_patient(3, collect);
+  ASSERT_EQ(all.size(), live.size() + tail.size());
+
+  for (std::size_t t = 0; t < tail.size(); ++t) {
+    const auto& w = tail[t];
     const auto start = static_cast<std::int64_t>(std::llround(w.start_s * config.fs_hz));
     std::size_t nbeats = 0;
-    const auto want =
-        reference_features(beats, start, start + static_cast<std::int64_t>(window),
-                           config.fs_hz, config.edr_fs_hz, &nbeats);
+    const auto want_rr = reference_rr_features(
+        beats, start, start + static_cast<std::int64_t>(window), config.fs_hz, &nbeats);
     EXPECT_EQ(w.num_beats, nbeats);
-    ASSERT_EQ(want.size(), w.features_view().size());
-    for (std::size_t j = 0; j < want.size(); ++j)
-      EXPECT_EQ(w.raw_features[j], want[j]) << "feature " << j;
+    for (std::size_t j = 0; j < want_rr.size(); ++j)
+      EXPECT_EQ(w.raw_features[j], want_rr[j]) << "RR feature " << j;
+    const auto& want = all[live.size() + t];
+    EXPECT_EQ(w.start_s, want.start_s);
+    for (std::size_t j = 0; j < want.raw_features.size(); ++j)
+      EXPECT_EQ(w.raw_features[j], want.raw_features[j]) << "feature " << j;
   }
 }
 

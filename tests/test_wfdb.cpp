@@ -2,8 +2,9 @@
 // specs), format 212/16/80 packing round-trips in BOTH sample-count parities
 // (the trailing half-group is the classic off-by-one trap), multi-channel
 // de-interleaving and ECG channel selection, ADC<->mV conversion, slice
-// decoding through io::RecordReader, and the corrupt-input failure modes
-// (size mismatch, checksum mismatch).
+// decoding through io::RecordReader, the one-pass checksum sweep against
+// per-signal decodes, and the corrupt-input failure modes (size mismatch,
+// checksum mismatch naming the signal).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
@@ -319,6 +321,84 @@ TEST(WfdbReader, SlicesMatchTheWholeRecordBitForBit) {
       }
     }
   }
+}
+
+std::vector<unsigned char> file_bytes(const std::filesystem::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+TEST(WfdbReader, ChecksumSweepMatchesPerSignalDecodes) {
+  // Every format x file width 1-3 x even and odd frame counts: the one-pass
+  // sweep's per-signal sums equal sums over each signal's own decode, and a
+  // single corrupt sample of any signal — ECG or not — refuses the record
+  // naming that signal.
+  const auto dir = test_dir("sweep");
+  for (const int format : {212, 16, 80}) {
+    const int lo = io::format_min_value(format);
+    const int hi = io::format_max_value(format);
+    for (const std::size_t frames : {std::size_t{600}, std::size_t{601}}) {
+      for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+        const auto name = "w" + std::to_string(format) + "_" + std::to_string(frames) + "_" +
+                          std::to_string(width);
+        auto header = one_signal_header(name, format);
+        std::vector<std::vector<int>> adc;
+        for (std::size_t c = 0; c < width; ++c) {
+          if (c > 0) {
+            header.signals.push_back(header.signals[0]);
+            header.signals[c].description = "RESP " + std::to_string(c);
+          }
+          adc.push_back(random_adc(frames, lo, hi, 53 * frames + 7 * c + width));
+        }
+        io::write_record(dir, header, adc);
+        const auto dat = std::filesystem::path(dir) / (name + ".dat");
+        const auto hea = std::filesystem::path(dir) / (name + ".hea");
+
+        const auto sums = io::checksum_sweep(format, file_bytes(dat), width, frames);
+        ASSERT_EQ(sums.size(), width) << name;
+        const io::RecordReader reader(dir, name);
+        for (std::size_t c = 0; c < width; ++c) {
+          std::vector<int> decoded(frames);
+          reader.read_adc(c, 0, decoded);
+          std::uint32_t sum = 0;
+          for (const int v : decoded) sum += static_cast<std::uint32_t>(v);
+          EXPECT_EQ(sums[c], sum) << name << " signal " << c;
+          EXPECT_EQ(static_cast<std::int16_t>(static_cast<std::uint16_t>(sums[c])),
+                    reader.header().signals[c].checksum)
+              << name << " signal " << c;
+        }
+
+        // Corrupt one sample of each signal in turn under the intact
+        // header's checksums.
+        const auto intact_header = file_bytes(hea);
+        for (std::size_t c = 0; c < width; ++c) {
+          auto bad = adc;
+          int& v = bad[c][frames / 2 + c];
+          v = v == hi ? v - 1 : v + 1;
+          io::write_record(dir, header, bad);
+          {
+            std::ofstream os(hea, std::ios::binary | std::ios::trunc);
+            os.write(reinterpret_cast<const char*>(intact_header.data()),
+                     static_cast<std::streamsize>(intact_header.size()));
+          }
+          try {
+            const io::RecordReader corrupt(dir, name);
+            ADD_FAILURE() << name << ": corrupt signal " << c << " was accepted";
+          } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("signal " + std::to_string(c) + ": checksum"),
+                      std::string::npos)
+                << name << ": " << e.what();
+          }
+        }
+      }
+    }
+  }
+  // Too few bytes for the frames, a zero width and a foreign format throw.
+  const std::vector<unsigned char> five(5);
+  EXPECT_THROW(io::checksum_sweep(212, five, 1, 4), std::invalid_argument);
+  EXPECT_NO_THROW(io::checksum_sweep(212, five, 1, 3));
+  EXPECT_THROW(io::checksum_sweep(16, five, 0, 1), std::invalid_argument);
+  EXPECT_THROW(io::checksum_sweep(24, five, 1, 1), std::invalid_argument);
 }
 
 TEST(WfdbSignal, CorruptFilesFailLoudly) {
